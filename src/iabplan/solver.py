@@ -6,7 +6,7 @@ interior of the linear feasible region.  We follow the central path of
 
     minimize  tau * F(x) - sum_k log(h_k - g_k' x)    subject to  A x = 0
 
-with damped Newton steps.  Each step solves the saddle-point system
+with damped Newton steps.  Each step solves, in augmented form, the system
 
     [ H   A' ] [dx]   [-grad]          H  = tau * H_F + G' diag(1/s^2) G
     [ A   0  ] [ w] = [  0  ]          s  = h - G x  (slacks, kept > 0)
@@ -110,22 +110,8 @@ class Solution:
 
 def _incident_time_counts(problem: RateProblem) -> np.ndarray:
     """Per time variable: the largest incident-variable count over its BSs."""
-    counts = np.zeros(problem.n_bs, dtype=int)
-    ends = [[] for _ in range(problem.n_flow)]
-    na, nd = problem.ul_access.shape[0], problem.dl_access.shape[0]
-    nbu = problem.ul_backhaul.shape[0]
-    for k, (_u, b) in enumerate(problem.ul_access):
-        ends[k].append(b)
-    for k, (b, _u) in enumerate(problem.dl_access):
-        ends[na + k].append(b)
-    for k, (i, j) in enumerate(problem.ul_backhaul):
-        ends[na + nd + k] += [i, j]
-    for k, (i, j) in enumerate(problem.dl_backhaul):
-        ends[na + nd + nbu + k] += [i, j]
-    for bs_list in ends:
-        for b in bs_list:
-            counts[b] += 1
-    return np.array([max(counts[b] for b in bs_list) for bs_list in ends])
+    res = problem.G[problem.row_slices["resource"], problem.sl_time]
+    return (sp.diags(res.getnnz(axis=1), dtype=float) @ res).max(axis=0).toarray().ravel()
 
 
 def _bfs_tree(n_nodes, seeds, edges, forward=True):
@@ -288,50 +274,65 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
     return np.concatenate([sigma * flow, t, sigma * m_cnt])
 
 
-def _kkt_solve(H: sp.spmatrix, A: sp.spmatrix, grad: np.ndarray):
-    n = H.shape[0]
-    p = A.shape[0]
-    if p:
-        kkt = sp.bmat([[H, A.T], [A, None]], format="csc")
-        rhs = np.concatenate([-grad, np.zeros(p)])
-    else:
-        kkt = sp.csc_matrix(H)
-        rhs = -grad
-    lu = spla.splu(kkt)
-    sol = lu.solve(rhs)
-    # one refinement pass keeps A dx = 0 near machine level despite the
-    # wildly mixed barrier scales in H
-    sol = sol + lu.solve(rhs - kkt @ sol)
-    return sol[:n], sol[n:]
+class _NewtonSystem:
+    """Sparse augmented KKT system of the Newton step, in slack coordinates.
 
-
-class _EqualityProjector:
-    """Removes equality drift: x <- x - A'(AA')^-1 A x.
-
-    Newton steps satisfy A dx = 0 only up to the factorization's rounding;
-    re-projecting after every accepted step keeps the conservation residual
-    at machine level instead of letting it accumulate over iterations.
+    Unknowns dy = (dsigma, dt, dm) with sigma_k = c_k t_k - f_k, so dx = T dy,
+    then z for the rate, resource and fiber rows and w for A.  The system
+    [[K, B'], [B, -diag(r^2, tau s_c^2, 0)]] with B = [U; G_c; A] T reduces to
+    [[H, A'], [A, 0]] but never forms a resource row's dense rank-one block:
+    K holds only per-link 2x2 blocks and diagonals.  Slack coordinates keep a
+    tight capacity row's barrier term alone on the sigma diagonal; in (f, t)
+    it cancels in the t pivot.  Relies on assemble's row layout: capacity
+    row k is f_k - c_k t_k and nonnegativity row i is -x_i.  See
+    docs/solver_notes.md, "Central path".
     """
 
-    def __init__(self, A: sp.spmatrix):
-        import scipy.linalg
-        self.A = A
-        if A.shape[0]:
-            gram = (A @ A.T).toarray()
-            self._chol = scipy.linalg.cho_factor(gram)
-        else:
-            self._chol = None
+    def __init__(self, problem: RateProblem):
+        nf, n, rs = problem.n_flow, problem.n_var, problem.row_slices
+        self.problem = problem
+        self.sl_c = slice(rs["resource"].start, rs["fiber"].stop)
+        k, j = np.arange(nf), np.arange(2 * nf, n)
+        self.T = sp.csr_matrix(
+            (np.r_[-np.ones(nf), problem.cap, np.ones(n - nf)],
+             (np.r_[k, k, nf + k, j], np.r_[k, nf + k, nf + k, j])), shape=(n, n))
+        B = sp.vstack([problem.U_mat, problem.G[self.sl_c], problem.A]) @ self.T
+        B = B.tocoo()
+        self.n_diag = n + problem.U_mat.shape[0] + self.sl_c.stop - self.sl_c.start
+        self.size = n + B.shape[0]
+        # value slots: the diagonal in matrix order, then sigma-t, then B
+        diag, st = np.arange(self.n_diag), self.n_diag + k
+        b = self.n_diag + nf + np.arange(B.nnz)
+        rows = np.r_[diag, k, nf + k, n + B.row, B.col]
+        cols = np.r_[diag, nf + k, k, B.col, n + B.row]
+        order = np.lexsort((rows, cols))
+        self._src = np.r_[diag, st, st, b, b][order]
+        self._b = B.data
+        self.kkt = sp.csc_matrix(
+            (np.zeros(order.size), rows[order],
+             np.searchsorted(cols[order], np.arange(self.size + 1))),
+            shape=(self.size, self.size))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self._chol is None:
-            return x
-        import scipy.linalg
-        resid = self.A @ x
-        return x - self.A.T @ scipy.linalg.cho_solve(self._chol, resid)
+    def solve(self, s: np.ndarray, r: np.ndarray, grad: np.ndarray, tau: float):
+        """Newton step (dx, w) at slacks s = h - Gx and rates r = Ux."""
+        p = self.problem
+        nf, n, c = p.n_flow, p.n_var, p.cap
+        d = 1.0 / (tau * s[p.row_slices["nonneg"]] ** 2)
+        a = 1.0 / (tau * s[p.row_slices["flow_capacity"]] ** 2)
+        vals = np.concatenate([a + d[:nf], c * c * d[:nf] + d[nf:2 * nf], d[2 * nf:],
+                               -r ** 2, -tau * s[self.sl_c] ** 2, -c * d[:nf], self._b])
+        self.kkt.data[:] = vals[self._src]
+        lu = spla.splu(self.kkt, permc_spec="NATURAL")
+        rhs = np.r_[-(self.T.T @ grad), np.zeros(self.size - n)]
+        sol = lu.solve(rhs)
+        # one refinement pass keeps A dx = 0 near machine level despite the
+        # wildly mixed barrier scales in the system
+        sol = sol + lu.solve(rhs - self.kkt @ sol)
+        return self.T @ sol[:n], sol[self.n_diag:]
 
 
 def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
-            project: _EqualityProjector, stat_target: float):
+            newton: _NewtonSystem, stat_target: float):
     """Newton iterations for one barrier subproblem; returns (x, w, iters).
 
     Minimizes psi = F + phi/tau (the 1/tau scaling keeps values and
@@ -341,6 +342,11 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
     duals (lambda = 1/(tau s), nu = w) is below `stat_target`; a few extra
     polish steps are allowed for the latter, since the decrement bounds the
     residual only loosely through the Hessian conditioning.
+
+    Inside the quadratic region (tau dx'H dx <= ((1 - 2 ARMIJO)/4)^2) of the
+    self-concordant tau*psi, backtracking accepts the full step in exact
+    arithmetic (Boyd & Vandenberghe 9.6.4) but the computed psi comparison
+    is rounding noise, so the ratio-test step is taken without it.
     """
     G, h, A, U = problem.G, problem.h, problem.A, problem.U_mat
 
@@ -352,17 +358,17 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
     if np.any(s <= 0) or np.any(r <= 0):
         raise InfeasibleProblemError("starting point is not strictly feasible")
 
-    w = np.zeros(A.shape[0])
     polish = 0
     for it in range(cfg.max_inner_iters):
         inv_s = 1.0 / s
         inv_r = 1.0 / r
         grad_f = -(U.T @ inv_r)
         grad = grad_f + G.T @ (inv_s / tau)
-        H = (U.T @ sp.diags(inv_r ** 2) @ U
-             + G.T @ sp.diags(inv_s ** 2 / tau) @ G)
-        dx, w = _kkt_solve(H.tocsr(), A, grad)
-        decrement = float(dx @ (H @ dx))
+        dx, w = newton.solve(s, r, grad, tau)
+        g_dx = G @ dx
+        u_dx = U @ dx
+        decrement = float(np.sum((u_dx * inv_r) ** 2)
+                          + np.sum((g_dx * inv_s) ** 2) / tau)
         if decrement / 2.0 <= cfg.newton_tol:
             grad_scale = max(1.0, float(np.abs(grad_f).max()))
             stat = float(np.abs(grad + A.T @ w).max()) / grad_scale
@@ -370,8 +376,6 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
                 return x, w, it
             polish += 1
         # ratio test keeps the step strictly inside the domain
-        g_dx = G @ dx
-        u_dx = U @ dx
         alpha = 1.0
         pos = g_dx > 0
         if pos.any():
@@ -381,8 +385,8 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
             alpha = min(alpha, _BOUNDARY_BACKOFF * np.min(r[neg] / -u_dx[neg]))
         psi = barrier_value(s, r)
         slope = float(grad @ dx)
-        accepted = False
-        while alpha > 1e-14:
+        accepted = tau * decrement <= ((1.0 - 2.0 * _ARMIJO) / 4.0) ** 2
+        while not accepted and alpha > 1e-14:
             s_new = s - alpha * g_dx
             r_new = r + alpha * u_dx
             if s_new.min() > 0 and r_new.min() > 0:
@@ -396,14 +400,8 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
             raise ConvergenceError("line search failed", best_x=x,
                                    gap=G.shape[0] / tau)
         x = x + alpha * dx
-        x_proj = project(x)
-        s_proj = h - G @ x_proj
-        r_proj = U @ x_proj
-        if s_proj.min() > 0 and r_proj.min() > 0:
-            x, s, r = x_proj, s_proj, r_proj
-        else:   # drift correction would leave the interior; keep raw step
-            s = h - G @ x
-            r = U @ x
+        s = h - G @ x
+        r = U @ x
     raise ConvergenceError("inner Newton iteration cap hit", best_x=x,
                            gap=G.shape[0] / tau)
 
@@ -413,15 +411,16 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
 
     Raises InfeasibleProblemError when no strictly feasible point exists and
     ConvergenceError (carrying the best iterate and its gap) on iteration
-    caps.  Deterministic for fixed inputs.
+    caps, a failed line search, or a final point that `validate` rejects at
+    `feasibility_tol`.  Deterministic for fixed inputs.
     """
     cfg = cfg or SolverConfig()
     n_terms = 2 * problem.n_included
     m_ineq = problem.G.shape[0]
     gap_target_abs = cfg.duality_gap_tol * n_terms
 
-    project = _EqualityProjector(problem.A)
-    x = project(strictly_feasible_point(problem))
+    newton = _NewtonSystem(problem)
+    x = strictly_feasible_point(problem)
     stat_target = 0.25 * cfg.duality_gap_tol
     # 5% overshoot keeps the final reported gap strictly below the tolerance
     tau_needed = 1.05 * m_ineq / gap_target_abs
@@ -429,9 +428,8 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     trace = []
     inner_total = 0
     converged = False
-    w = np.zeros(problem.A.shape[0])
     for _outer in range(cfg.max_outer_iters):
-        x, w, inner = _center(problem, x, tau, cfg, project, stat_target)
+        x, w, inner = _center(problem, x, tau, cfg, newton, stat_target)
         inner_total += inner
         trace.append(problem.objective_log(x))
         if m_ineq / tau <= gap_target_abs:
@@ -443,16 +441,18 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     if not converged:
         raise ConvergenceError("outer iteration cap hit", best_x=x, gap=gap_rel)
 
-    s = problem.h - problem.G @ x
-    lam = 1.0 / (tau * s)
-    nu = w
     report = validate(problem, x, tol=cfg.feasibility_tol)
+    if not report.ok:
+        raise ConvergenceError(
+            f"final point violates the constraints by {report.max_violation:.2e}",
+            best_x=x, gap=gap_rel)
+    lam = 1.0 / (tau * (problem.h - problem.G @ x))
 
     r_ul, r_dl = problem.rates_bps(x)
     solution = Solution(
         x=x, ue_ids=problem.ue_ids.copy(), r_ul_bps=r_ul, r_dl_bps=r_dl,
         gm_bps=problem.gm_bps(x), objective_log=problem.objective_log(x),
-        scale_bps=problem.scale_bps, lam=lam, nu=nu, tau_final=tau,
+        scale_bps=problem.scale_bps, lam=lam, nu=w, tau_final=tau,
     )
     certificate = Certificate(
         converged=True, gap_rel=gap_rel,

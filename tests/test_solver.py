@@ -1,11 +1,14 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from iabplan import (AnchorSet, BudgetConfig, ConvergenceError, SolverConfig,
-                     Variant, assemble, check_kkt, make_scenario, solve,
-                     strictly_feasible_point, validate)
+                     Variant, assemble, build_link_table, check_kkt,
+                     generate_grid, make_scenario, select_anchors, solve,
+                     strictly_feasible_point, synthetic_gains, validate)
+from iabplan.solver import _NewtonSystem
 from iabplan.testkit import (analytic_chain_instance, analytic_single_instance,
                              links_from_caps, random_tiny_instance)
 
@@ -141,3 +144,59 @@ class TestFailureModes:
         assert err.value.best_x is not None
         assert err.value.gap is not None
         assert validate(prob, err.value.best_x, tol=1e-9).ok
+
+    def test_uncertified_final_point_is_rejected(self):
+        prob, _ = analytic_single_instance()
+        with pytest.raises(ConvergenceError) as err:
+            solve(prob, SolverConfig(feasibility_tol=1e-30))
+        assert err.value.best_x is not None
+        assert err.value.gap <= SolverConfig().duality_gap_tol
+
+
+def grid_problem(rows, cols, n_ues, seed, k, scenario):
+    """Street-grid instance built as `iabplan run` builds it."""
+    topo = generate_grid(rows, cols, 200.0, n_ues, seed)
+    links = build_link_table(synthetic_gains(topo))
+    anchors = select_anchors(topo, k, "greedy-coverage", links=links, seed=seed)
+    pattern = make_scenario(scenario, links, anchors, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # starved UEs are expected here
+        return assemble(links, pattern, anchors)
+
+
+class TestCertifiedOnGrids:
+    """Grid instances that stress the end of centering: the last steps must
+    bring stationarity below tolerance where a barrier-value comparison is
+    rounding noise, and keep conservation at rounding level."""
+
+    @pytest.mark.parametrize("rows, cols, n_ues, seed, k, scenario", [
+        (3, 6, 60, 1, 7, "access_lb"),
+        (2, 3, 30, 1, 1, "iab_st"),
+        (2, 3, 30, 1, 1, "iab_mesh_ss"),
+        (2, 3, 30, 2, 5, "access_ss"),
+        (2, 3, 30, 5, 2, "iab_st"),
+        (2, 4, 40, 5, 1, "iab_mesh_ss"),
+    ])
+    def test_kkt_certified(self, rows, cols, n_ues, seed, k, scenario):
+        solve_checked(grid_problem(rows, cols, n_ues, seed, k, scenario))
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    @pytest.mark.parametrize("tau", [1.0, 1e3, 1e6])
+    def test_matches_dense_saddle_point_solve(self, seed, tau):
+        prob = random_tiny_instance(seed)
+        G, h, A, U = prob.G, prob.h, prob.A, prob.U_mat
+        x = strictly_feasible_point(prob)
+        s, r = h - G @ x, U @ x
+        grad = -(U.T @ (1.0 / r)) + G.T @ (1.0 / (tau * s))
+        dx, w = _NewtonSystem(prob).solve(s, r, grad, tau)
+
+        Ud, Gd, Ad = U.toarray(), G.toarray(), A.toarray()
+        H = Ud.T @ (Ud / r[:, None] ** 2) + Gd.T @ (Gd / (tau * s[:, None] ** 2))
+        p = Ad.shape[0]
+        kkt = np.block([[H, Ad.T], [Ad, np.zeros((p, p))]])
+        ref = np.linalg.solve(kkt, np.r_[-grad, np.zeros(p)])
+        n = prob.n_var
+        assert np.linalg.norm(dx - ref[:n]) <= 1e-8 * np.linalg.norm(ref[:n])
+        assert np.linalg.norm(w - ref[n:]) <= 1e-8 * np.linalg.norm(ref[n:])
