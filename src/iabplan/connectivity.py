@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import ConnectivityError
 from .geometry import AnchorSet
@@ -119,7 +121,7 @@ def backhaul_spanning_tree(gains_bb: np.ndarray, anchors: AnchorSet,
 
     connected = anchors.y.copy()
     b = np.zeros((n, n), dtype=bool)
-    stranded = _unreachable(usable, connected)
+    stranded = np.flatnonzero(~reachable(usable, connected))
     if stranded.size:
         raise ConnectivityError(
             f"sites unreachable from any anchor: {stranded.tolist()}")
@@ -137,15 +139,17 @@ def backhaul_spanning_tree(gains_bb: np.ndarray, anchors: AnchorSet,
     return b
 
 
-def _unreachable(adj: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    reach = seeds.copy()
-    frontier = list(np.flatnonzero(seeds))
-    while frontier:
-        i = frontier.pop()
-        for j in np.flatnonzero(adj[i] & ~reach):
-            reach[j] = True
-            frontier.append(j)
-    return np.flatnonzero(~reach)
+def reachable(adj: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the nodes reachable from any seed along the directed edges
+    i -> j of the boolean (n, n) `adj`, seeds included."""
+    n = adj.shape[0]
+    graph = np.zeros((n + 1, n + 1), dtype=bool)
+    graph[:n, :n] = adj
+    graph[n, :n] = seeds      # a virtual source feeding every seed
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[csgraph.breadth_first_order(sp.csr_matrix(graph), n,
+                                      return_predecessors=False)] = True
+    return reach[:n]
 
 
 def make_scenario(variant: Variant | str, links: LinkTable, anchors: AnchorSet,

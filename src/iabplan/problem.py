@@ -19,34 +19,34 @@ eliminated rather than kept at the boundary, so the feasible region has a
 nonempty interior whenever any UE is servable.  UEs that end up with no
 usable uplink or downlink are excluded from the objective and reported
 (`excluded`), with reason "no_link" or "starved".
+
+Every constraint family is one sparse construction over per-flow endpoint
+arrays (`tail`, `head`, -1 at a UE end).  The conservation rows are the
+node-arc incidence matrix of each direction's backhaul digraph, with the
+UE ends of access flows and the fiber variables as a deleted "ground" node,
+and they have full row rank, so no row needs dropping.  A vector y with
+y'A = 0 is constant across every backhaul edge and zero at every row that
+holds an access flow or a fiber variable (a column with one entry), so it
+vanishes on every weakly connected component of kept rows that touches
+one.  Every component does: a kept DL edge (i, j) has an anchor-rooted path
+to i whose edges are all kept (each node on it reaches j and so a
+UE-serving BS), and that anchor has a DL fiber variable; UL is the mirror
+image, and a row with no kept backhaul edge holds an access flow or a fiber
+variable itself (see Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 11).
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
-from .connectivity import ConnectivityPattern
+from .connectivity import ConnectivityPattern, reachable
 from .errors import InfeasibleProblemError
 from .geometry import AnchorSet
 from .linkbudget import BudgetConfig, LinkTable
-
-
-def _bfs(n: int, seeds: np.ndarray, adj: list[list[int]]) -> np.ndarray:
-    reach = seeds.copy()
-    queue = deque(np.flatnonzero(seeds))
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if not reach[j]:
-                reach[j] = True
-                queue.append(j)
-    return reach
 
 
 @dataclass
@@ -189,20 +189,17 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern, anchors: AnchorSet,
     bh_ok = pattern.backhaul & links.exists_bb      # (B, B)
     np.fill_diagonal(bh_ok, False)
 
-    fwd = [list(np.flatnonzero(bh_ok[i])) for i in range(B)]
-    rev = [list(np.flatnonzero(bh_ok[:, i])) for i in range(B)]
-    dl_reach = _bfs(B, y.copy(), fwd)   # can receive DL from some anchor
-    ul_reach = _bfs(B, y.copy(), rev)   # can forward UL to some anchor
+    dl_reach = reachable(bh_ok, y)     # can receive DL from some anchor
+    ul_reach = reachable(bh_ok.T, y)   # can forward UL to some anchor
 
     ul_ok = ul_acc_ok & ul_reach[None, :]
     dl_ok = dl_acc_ok & dl_reach[None, :]
     included = ul_ok.any(axis=1) & dl_ok.any(axis=1)
 
-    excluded = {}
-    for u in np.flatnonzero(~included):
-        had_any = bool(ul_acc_ok[u].any() or dl_acc_ok[u].any())
-        excluded[int(u)] = "starved" if had_any else "no_link"
-    n_starved = sum(1 for r in excluded.values() if r == "starved")
+    had_any = ul_acc_ok.any(axis=1) | dl_acc_ok.any(axis=1)
+    excluded = {int(u): "starved" if had_any[u] else "no_link"
+                for u in np.flatnonzero(~included)}
+    n_starved = int(np.count_nonzero(~included & had_any))
     if n_starved:
         warnings.warn(
             f"{n_starved} UE(s) starved (attached to sites with no route to "
@@ -214,10 +211,8 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern, anchors: AnchorSet,
 
     # backhaul usability: DL needs an anchor upstream and a UE-serving BS
     # downstream; UL is the mirror image.
-    t_d = dl_ok.any(axis=0)   # BS delivers DL to some served UE
-    s_u = ul_ok.any(axis=0)   # BS collects UL from some served UE
-    dl_sinkable = _bfs(B, t_d.copy(), rev)
-    ul_sourceable = _bfs(B, s_u.copy(), fwd)
+    dl_sinkable = reachable(bh_ok.T, dl_ok.any(axis=0))
+    ul_sourceable = reachable(bh_ok, ul_ok.any(axis=0))
     bh_dl = bh_ok & dl_reach[:, None] & dl_sinkable[None, :]
     bh_ul = bh_ok & ul_sourceable[:, None] & ul_reach[None, :]
 
@@ -229,13 +224,16 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern, anchors: AnchorSet,
     dl_access = dl_access[np.lexsort((dl_access[:, 1], dl_access[:, 0]))]
     ul_backhaul = np.argwhere(bh_ul)
     dl_backhaul = np.argwhere(bh_dl)
+    na, nd = ul_access.shape[0], dl_access.shape[0]
 
-    cap_bps = np.concatenate([
-        links.cap_ub[ul_access[:, 0], ul_access[:, 1]] if ul_access.size else [],
-        links.cap_bu[dl_access[:, 0], dl_access[:, 1]] if dl_access.size else [],
-        links.cap_bb[ul_backhaul[:, 0], ul_backhaul[:, 1]] if ul_backhaul.size else [],
-        links.cap_bb[dl_backhaul[:, 0], dl_backhaul[:, 1]] if dl_backhaul.size else [],
-    ]).astype(float)
+    # per-flow BS endpoints in variable order, -1 at a UE end
+    tail = np.r_[np.full(na, -1), dl_access[:, 0], ul_backhaul[:, 0], dl_backhaul[:, 0]]
+    head = np.r_[ul_access[:, 1], np.full(nd, -1), ul_backhaul[:, 1], dl_backhaul[:, 1]]
+    is_ul = np.repeat([1, 0, 1, 0], [na, nd, ul_backhaul.shape[0], dl_backhaul.shape[0]])
+
+    cap_bps = np.r_[links.cap_ub[ul_access[:, 0], ul_access[:, 1]],
+                    links.cap_bu[dl_access[:, 0], dl_access[:, 1]],
+                    links.cap_bb[tail[na + nd:], head[na + nd:]]].astype(float)
     if cap_bps.size == 0 or cap_bps.max() <= 0:
         raise InfeasibleProblemError("no usable link capacity")
     scale = float(cap_bps.max())
@@ -245,148 +243,52 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern, anchors: AnchorSet,
     nf = cap.size
     nm = len(m_vars)
     n = 2 * nf + nm
-    na, nd = ul_access.shape[0], dl_access.shape[0]
-    nbu = ul_backhaul.shape[0]
+    k = np.arange(nf)
+    m_col = 2 * nf + np.arange(nm)
+    m_bs = np.array([bs for bs, _d in m_vars], dtype=int)
+    m_ul = np.array([d == "U" for _bs, d in m_vars], dtype=int)
 
-    def f_idx(k):
-        return k
-
-    def t_idx(k):
-        return nf + k
-
-    def m_idx(k):
-        return 2 * nf + k
+    # node-arc incidence, one entry per (flow, BS end): DL rows count
+    # outflow minus inflow and UL rows inflow minus outflow, so a flow
+    # enters with +1 at a DL tail or an UL head and -1 at the other end
+    end = np.r_[tail, head]
+    at_bs = end >= 0
+    node, col = end[at_bs], np.r_[k, k][at_bs]
+    out = 1.0 - 2 * is_ul
+    sign = np.r_[out, -out][at_bs]
 
     # --- inequalities -----------------------------------------------------
-    rows, cols, vals, h = [], [], [], []
-    row = 0
-    cap_start = row
-    for k in range(nf):
-        rows += [row, row]
-        cols += [f_idx(k), t_idx(k)]
-        vals += [1.0, -cap[k]]
-        h.append(0.0)
-        row += 1
-    cap_stop = row
-
-    # per-BS incident time variables
-    incident = [[] for _ in range(B)]
-    for k, (u, b) in enumerate(ul_access):
-        incident[b].append(t_idx(k))
-    for k, (b, u) in enumerate(dl_access):
-        incident[b].append(t_idx(na + k))
-    for k, (i, j) in enumerate(ul_backhaul):
-        incident[i].append(t_idx(na + nd + k))
-        incident[j].append(t_idx(na + nd + k))
-    for k, (i, j) in enumerate(dl_backhaul):
-        incident[i].append(t_idx(na + nd + nbu + k))
-        incident[j].append(t_idx(na + nd + nbu + k))
-
-    res_start = row
-    resource_bs = []
-    for b in range(B):
-        if not incident[b]:
-            continue
-        for c in incident[b]:
-            rows.append(row)
-            cols.append(c)
-            vals.append(1.0)
-        h.append(1.0)
-        resource_bs.append(b)
-        row += 1
-    res_stop = row
-
-    fib_start = row
-    fiber_bs = []
-    by_bs = {}
-    for k, (bs, _d) in enumerate(m_vars):
-        by_bs.setdefault(bs, []).append(m_idx(k))
-    for bs in sorted(by_bs):
-        for c in by_bs[bs]:
-            rows.append(row)
-            cols.append(c)
-            vals.append(1.0)
-        h.append(fiber_norm)
-        fiber_bs.append(bs)
-        row += 1
-    fib_stop = row
-
-    nn_start = row
-    for k in range(n):
-        rows.append(row)
-        cols.append(k)
-        vals.append(-1.0)
-        h.append(0.0)
-        row += 1
-    nn_stop = row
-
-    G = sp.csr_matrix((vals, (rows, cols)), shape=(row, n))
-    h = np.asarray(h)
+    capacity = sp.csr_matrix((np.r_[np.ones(nf), -cap], (np.r_[k, k], np.r_[k, nf + k])),
+                             shape=(nf, n))
+    resource = sp.csr_matrix((np.ones(node.size), (node, nf + col)), shape=(B, n))
+    resource = resource[np.flatnonzero(resource.getnnz(axis=1))]
+    fiber_bs, fiber_row = np.unique(m_bs, return_inverse=True)
+    fiber = sp.csr_matrix((np.ones(nm), (fiber_row, m_col)), shape=(fiber_bs.size, n))
+    G = sp.vstack([capacity, resource, fiber, -sp.identity(n, format="csr")], format="csr")
+    n_res, n_fib = resource.shape[0], fiber_bs.size
+    h = np.r_[np.zeros(nf), np.ones(n_res), np.full(n_fib, fiber_norm), np.zeros(n)]
+    o = np.cumsum([0, nf, n_res, n_fib, n]).tolist()
     row_slices = {
-        "flow_capacity": slice(cap_start, cap_stop),
-        "resource": slice(res_start, res_stop),
-        "fiber": slice(fib_start, fib_stop),
-        "nonneg": slice(nn_start, nn_stop),
+        "flow_capacity": slice(o[0], o[1]),
+        "resource": slice(o[1], o[2]),
+        "fiber": slice(o[2], o[3]),
+        "nonneg": slice(o[3], o[4]),
     }
 
-    # --- equalities: flow conservation per BS and direction ---------------
-    erows, ecols, evals, eq_labels = [], [], [], []
-    m_lookup = {(bs, d): m_idx(k) for k, (bs, d) in enumerate(m_vars)}
-    er = 0
-    for b in range(B):
-        # DL: access out + backhaul out - backhaul in - M_b^D = 0
-        entries = []
-        for k, (bb, u) in enumerate(dl_access):
-            if bb == b:
-                entries.append((f_idx(na + k), 1.0))
-        for k, (i, j) in enumerate(dl_backhaul):
-            if i == b:
-                entries.append((f_idx(na + nd + nbu + k), 1.0))
-            if j == b:
-                entries.append((f_idx(na + nd + nbu + k), -1.0))
-        if (b, "D") in m_lookup:
-            entries.append((m_lookup[(b, "D")], -1.0))
-        if entries:
-            for c, v in entries:
-                erows.append(er)
-                ecols.append(c)
-                evals.append(v)
-            eq_labels.append((b, "D"))
-            er += 1
-        # UL: access in + backhaul in - backhaul out - M_b^U = 0
-        entries = []
-        for k, (u, bb) in enumerate(ul_access):
-            if bb == b:
-                entries.append((f_idx(k), 1.0))
-        for k, (i, j) in enumerate(ul_backhaul):
-            if j == b:
-                entries.append((f_idx(na + nd + k), 1.0))
-            if i == b:
-                entries.append((f_idx(na + nd + k), -1.0))
-        if (b, "U") in m_lookup:
-            entries.append((m_lookup[(b, "U")], -1.0))
-        if entries:
-            for c, v in entries:
-                erows.append(er)
-                ecols.append(c)
-                evals.append(v)
-            eq_labels.append((b, "U"))
-            er += 1
-    A = sp.csr_matrix((evals, (erows, ecols)), shape=(er, n))
-    A, eq_labels = _drop_dependent_rows(A, eq_labels)
+    # --- equalities: flow conservation, row 2b (DL) and 2b + 1 (UL) -------
+    A = sp.csr_matrix((np.r_[sign, -np.ones(nm)],
+                       (np.r_[2 * node + is_ul[col], 2 * m_bs + m_ul], np.r_[col, m_col])),
+                      shape=(2 * B, n))
+    kept = np.flatnonzero(A.getnnz(axis=1))
+    A = A[kept]
+    eq_labels = [(int(r) // 2, "DU"[r % 2]) for r in kept]
 
     # --- objective aggregation --------------------------------------------
     ue_ids = np.flatnonzero(included)
-    pos = {int(u): k for k, u in enumerate(ue_ids)}
-    urows, ucols = [], []
-    for k, (u, b) in enumerate(ul_access):
-        urows.append(pos[int(u)])
-        ucols.append(f_idx(k))
-    for k, (b, u) in enumerate(dl_access):
-        urows.append(len(ue_ids) + pos[int(u)])
-        ucols.append(f_idx(na + k))
-    U_mat = sp.csr_matrix((np.ones(len(urows)), (urows, ucols)),
-                          shape=(2 * len(ue_ids), n))
+    n_inc = ue_ids.size
+    ue_row = np.searchsorted(ue_ids, np.r_[ul_access[:, 0], dl_access[:, 1]])
+    U_mat = sp.csr_matrix((np.ones(na + nd), (ue_row + np.repeat([0, n_inc], [na, nd]),
+                                              np.arange(na + nd))), shape=(2 * n_inc, n))
 
     return RateProblem(
         n_bs=B, n_ue=U, anchors_y=y.copy(),
@@ -396,20 +298,6 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern, anchors: AnchorSet,
         G=G, h=h, A=A, eq_labels=eq_labels, U_mat=U_mat,
         ue_ids=ue_ids, excluded=excluded, row_slices=row_slices,
     )
-
-
-def _drop_dependent_rows(A: sp.csr_matrix, labels: list):
-    """Keep a maximal independent subset of the (homogeneous) equality rows."""
-    if A.shape[0] == 0:
-        return A, labels
-    dense = A.toarray()
-    _q, r, piv = scipy.linalg.qr(dense.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0:
-        return A[:0], []
-    rank = int(np.sum(diag > diag[0] * 1e-12))
-    keep = np.sort(piv[:rank])
-    return A[keep], [labels[i] for i in keep]
 
 
 @dataclass

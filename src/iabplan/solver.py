@@ -142,6 +142,28 @@ def _bfs_tree(n_nodes, seeds, edges, forward=True):
     return pred, seen
 
 
+def _walks(n_nodes, seeds, edges, forward):
+    """Walks along the `_bfs_tree` pointers from every node to its seed.
+
+    Returns the walk-count matrix P' as an (n_edges, n_nodes) CSC matrix,
+    whose column b counts the edges on b's walk, and the seed each walk
+    ends at (-1 where no walk exists).  P' @ counts then routes counts[b]
+    units from every node b.
+    """
+    pred, seen = _bfs_tree(n_nodes, seeds, edges, forward)
+    walk_edges, indptr, ends = [], [0], []
+    for b in range(n_nodes):
+        node = b
+        while pred[node] is not None:   # None at a seed or an unseen node
+            e, node = pred[node]
+            walk_edges.append(e)
+        indptr.append(len(walk_edges))
+        ends.append(node)
+    P_t = sp.csc_matrix((np.ones(len(walk_edges)), walk_edges, indptr),
+                        shape=(len(edges), n_nodes))
+    return P_t, np.where(seen, ends, -1)
+
+
 def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
     """Interior starting point: 0.9-scaled uniform time split, routed flows.
 
@@ -150,122 +172,54 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
     walk for every flow and fiber variable (so each is strictly positive),
     then scaling all of them to half the tightest capacity bound.
     """
-    nf, nm = problem.n_flow, len(problem.m_vars)
-    na, nd = problem.ul_access.shape[0], problem.dl_access.shape[0]
-    nbu = problem.ul_backhaul.shape[0]
-    B = problem.n_bs
+    ul_acc, dl_acc = problem.ul_access, problem.dl_access
+    ul_bh, dl_bh = problem.ul_backhaul, problem.dl_backhaul
+    nf, nm, B = problem.n_flow, len(problem.m_vars), problem.n_bs
+    na, nd, nbu = ul_acc.shape[0], dl_acc.shape[0], ul_bh.shape[0]
     anchors = np.flatnonzero(problem.anchors_y)
+    m_bs = np.array([bs for bs, _d in problem.m_vars], dtype=int)
+    m_ul = np.array([d == "U" for _bs, d in problem.m_vars], dtype=bool)
 
     t = 0.9 / np.maximum(_incident_time_counts(problem), 1)
-
-    ul_edges = [tuple(e) for e in problem.ul_backhaul]
-    dl_edges = [tuple(e) for e in problem.dl_backhaul]
-    # canonical path pointers
-    down_pred, _ = _bfs_tree(B, anchors, dl_edges, forward=True)    # anchor -> bs
-    up_next, _ = _bfs_tree(B, anchors, ul_edges, forward=False)     # bs -> anchor
-    t_d = sorted({int(b) for b, _u in problem.dl_access})
-    s_u = sorted({int(b) for _u, b in problem.ul_access})
-    sink_next, _ = _bfs_tree(B, t_d, dl_edges, forward=False) if t_d else ([None] * B, None)
-    src_pred, _ = _bfs_tree(B, s_u, ul_edges, forward=True) if s_u else ([None] * B, None)
-
-    first_dl_at = {}
-    for k, (b, _u) in enumerate(problem.dl_access):
-        first_dl_at.setdefault(int(b), na + k)
-    first_ul_at = {}
-    for k, (_u, b) in enumerate(problem.ul_access):
-        first_ul_at.setdefault(int(b), k)
-
-    flow = np.zeros(nf)
-    m_cnt = np.zeros(nm)
-    m_pos = {key: idx for idx, key in enumerate(problem.m_vars)}
-    anchor_set = set(int(a) for a in anchors)
 
     def fail(msg):
         raise InfeasibleProblemError(f"cannot construct interior point: {msg}")
 
-    def walk_up_to_anchor(b):
-        """Add flow on UL backhaul edges from b to its anchor; returns anchor."""
-        node = int(b)
-        while node not in anchor_set:
-            hop = up_next[node]
-            if hop is None:
-                fail(f"BS {node} has no uplink route to an anchor")
-            e, node = hop
-            flow[na + nd + e] += 1.0
-        return node
+    def route(seeds, edges, forward, starts, no_walk):
+        """One unit from each start (with repeats) along its canonical walk:
+        per-edge unit counts, and per-node counts of walks ending there."""
+        P_t, end = _walks(B, seeds, edges.tolist(), forward)
+        n_start = np.bincount(starts, minlength=B)
+        stuck = np.flatnonzero(n_start * (end < 0))
+        if stuck.size:
+            fail(f"BS {stuck[0]} {no_walk}")
+        return P_t @ n_start, np.bincount(end[starts], minlength=B)
 
-    def walk_down_from_anchor(b):
-        """Add flow on DL backhaul edges from some anchor down to b."""
-        node = int(b)
-        path = []
-        while node not in anchor_set:
-            hop = down_pred[node]
-            if hop is None:
-                fail(f"BS {node} has no downlink route from an anchor")
-            e, node = hop
-            path.append(e)
-        for e in path:
-            flow[na + nd + nbu + e] += 1.0
-        return node
+    # walks: UL up to an anchor, DL down from an anchor, DL on to a
+    # UE-serving BS, UL back from a UE-serving BS
+    up_e, up_end = route(anchors, ul_bh, False, np.r_[ul_acc[:, 1], ul_bh[:, 1]],
+                         "has no uplink route to an anchor")
+    down_e, down_end = route(anchors, dl_bh, True, np.r_[dl_acc[:, 0], dl_bh[:, 0]],
+                             "has no downlink route from an anchor")
+    t_d, first_dl = np.unique(dl_acc[:, 0], return_index=True)
+    s_u, first_ul = np.unique(ul_acc[:, 1], return_index=True)
+    sink_e, sink_end = route(t_d, dl_bh, False, np.r_[dl_bh[:, 1], m_bs[~m_ul]],
+                             "cannot dispose of downlink flow")
+    src_e, src_end = route(s_u, ul_bh, True, np.r_[ul_bh[:, 0], m_bs[m_ul]],
+                           "receives no uplink flow")
 
-    def walk_to_dl_sink(b):
-        """Follow DL edges from b to a UE-serving BS, add its access flow."""
-        node = int(b)
-        while node not in first_dl_at:
-            hop = sink_next[node]
-            if hop is None:
-                fail(f"BS {node} cannot dispose of downlink flow")
-            e, node = hop
-            flow[na + nd + nbu + e] += 1.0
-        flow[first_dl_at[node]] += 1.0
-
-    def walk_from_ul_source(b):
-        """Follow UL edges backwards from b to a UE-serving BS, add access flow."""
-        node = int(b)
-        path = []
-        while node not in first_ul_at:
-            hop = src_pred[node]
-            if hop is None:
-                fail(f"BS {node} receives no uplink flow")
-            e, node = hop
-            path.append(e)
-        for e in path:
-            flow[na + nd + e] += 1.0
-        flow[first_ul_at[node]] += 1.0
-
-    for k, (_u, b) in enumerate(problem.ul_access):
-        flow[k] += 1.0
-        a = walk_up_to_anchor(b)
-        m_cnt[m_pos[(a, "U")]] += 1.0
-    for k, (b, _u) in enumerate(problem.dl_access):
-        flow[na + k] += 1.0
-        a = walk_down_from_anchor(b)
-        m_cnt[m_pos[(a, "D")]] += 1.0
-    for k, (i, j) in enumerate(problem.ul_backhaul):
-        walk_from_ul_source(i)
-        flow[na + nd + k] += 1.0
-        a = walk_up_to_anchor(j)
-        m_cnt[m_pos[(a, "U")]] += 1.0
-    for k, (i, j) in enumerate(problem.dl_backhaul):
-        a = walk_down_from_anchor(i)
-        m_cnt[m_pos[(a, "D")]] += 1.0
-        flow[na + nd + nbu + k] += 1.0
-        walk_to_dl_sink(j)
-    for idx, (a, d) in enumerate(problem.m_vars):
-        m_cnt[idx] += 1.0
-        if d == "D":
-            walk_to_dl_sink(a)
-        else:
-            walk_from_ul_source(a)
-
-    if np.any(flow <= 0):
-        fail("a flow variable received no routed walk")
+    flow = np.ones(nf)
+    flow[na + nd:na + nd + nbu] += up_e + src_e
+    flow[na + nd + nbu:] += down_e + sink_e
+    # a sink or source walk ends in its BS's first access flow
+    flow[na + first_dl] += sink_end[t_d]
+    flow[first_ul] += src_end[s_u]
+    m_cnt = 1.0 + np.where(m_ul, up_end[m_bs], down_end[m_bs])
+    if m_cnt.sum() - nm != up_end.sum() + down_end.sum():
+        fail("an anchor walk ends at an anchor with no fiber variable")
 
     sigma = 0.5 * np.min(t * problem.cap / flow)
-    m_tot = np.zeros(B)
-    for idx, (a, _d) in enumerate(problem.m_vars):
-        m_tot[a] += m_cnt[idx]
-    busiest = m_tot.max() if nm else 0.0
+    busiest = np.bincount(m_bs, weights=m_cnt, minlength=B).max() if nm else 0.0
     if busiest > 0:
         sigma = min(sigma, 0.45 * problem.fiber_norm / busiest)
     if sigma <= 0:
