@@ -58,42 +58,42 @@ class ConnectivityPattern:
         return text
 
 
-def usable_pairs(links: LinkTable) -> np.ndarray:
-    """(U, B) mask of UE-BS pairs whose link exists in both directions."""
-    return links.exists_ub & links.exists_bu.T
+def usable_pairs(links: LinkTable, serving: np.ndarray | None = None) -> np.ndarray:
+    """(U, B) mask of UE-BS pairs whose link exists in both directions,
+    restricted to the `serving` BS mask when one is given."""
+    eligible = links.exists_ub & links.exists_bu.T
+    if serving is not None:
+        eligible &= np.asarray(serving, dtype=bool)[None, :]
+    return eligible
 
 
 def access_signal_strength(links: LinkTable, seed: int = 0,
                            serving: np.ndarray | None = None):
     """One access link per UE: the highest-capacity eligible BS.
 
-    Exact capacity ties are broken by a seeded uniform draw.  UEs with no
-    eligible link get an all-zero row and are flagged.  `serving` restricts
-    the eligible BS set (anchors only, in access-only scenarios).
+    Exact capacity ties are broken by a seeded uniform draw, one per tied
+    UE in UE order.  UEs with no eligible link get an all-zero row and are
+    flagged.  `serving` restricts the eligible BS set (anchors only, in
+    access-only scenarios).
     """
-    eligible = usable_pairs(links)
-    if serving is not None:
-        eligible = eligible & np.asarray(serving, dtype=bool)[None, :]
-    cap = np.where(eligible, links.cap_ub, -np.inf)
-    access = np.zeros(eligible.shape, dtype=bool)
+    eligible = usable_pairs(links, serving)
     unserved = ~eligible.any(axis=1)
+    cap = np.where(eligible, links.cap_ub, -np.inf)
+    tied = (cap == cap.max(axis=1, keepdims=True)) & ~unserved[:, None]
+    pick = tied.argmax(axis=1)
     rng = np.random.default_rng(seed)
-    for u in range(eligible.shape[0]):
-        if unserved[u]:
-            continue
-        best = cap[u].max()
-        cands = np.flatnonzero(cap[u] == best)
-        pick = cands[0] if cands.size == 1 else rng.choice(cands)
-        access[u, pick] = True
+    for u in np.flatnonzero(tied.sum(axis=1) > 1):
+        pick[u] = rng.choice(np.flatnonzero(tied[u]))
+    access = np.zeros(eligible.shape, dtype=bool)
+    served = np.flatnonzero(~unserved)
+    access[served, pick[served]] = True
     return access, unserved
 
 
 def access_load_balanced(links: LinkTable, serving: np.ndarray | None = None):
     """Every eligible access link is available; the optimizer splits traffic."""
-    eligible = usable_pairs(links)
-    if serving is not None:
-        eligible = eligible & np.asarray(serving, dtype=bool)[None, :]
-    return eligible.copy(), ~eligible.any(axis=1)
+    eligible = usable_pairs(links, serving)
+    return eligible, ~eligible.any(axis=1)
 
 
 def backhaul_mesh(links: LinkTable) -> np.ndarray:
@@ -111,7 +111,13 @@ def backhaul_spanning_tree(gains_bb: np.ndarray, anchors: AnchorSet,
     single strongest-gain edge between the connected and unconnected sets
     (ties toward the lowest (connected, unconnected) id pair) until every
     site is connected.  The result has both directions of each tree edge set.
-    An edge is usable only if the link exists in both directions.
+    An edge is usable only if the link exists in both directions, whatever
+    its gain (-inf included).
+
+    Prim's rule: each unconnected site keeps its best edge into the
+    connected set (`gain`, from the lowest-id `parent` on ties; `parent` is
+    n while it has none), so an iteration is one scan of the frontier and
+    one update from the site just added.
     """
     n = gains_bb.shape[0]
     if exists_bb is None:
@@ -120,40 +126,106 @@ def backhaul_spanning_tree(gains_bb: np.ndarray, anchors: AnchorSet,
     np.fill_diagonal(usable, False)
 
     connected = anchors.y.copy()
-    b = np.zeros((n, n), dtype=bool)
     stranded = np.flatnonzero(~reachable(usable, connected))
     if stranded.size:
         raise ConnectivityError(
             f"sites unreachable from any anchor: {stranded.tolist()}")
+    gain = np.full(n, -np.inf)
+    parent = np.full(n, n)
+
+    def join(i):
+        g = gains_bb[i]
+        better = usable[i] & ~connected & ((g > gain) | ((g == gain) & (i < parent)))
+        gain[better] = g[better]
+        parent[better] = i
+
+    for i in np.flatnonzero(connected):
+        join(i)
+    b = np.zeros((n, n), dtype=bool)
     while not connected.all():
-        best = (-np.inf, n, n)
-        for i in np.flatnonzero(connected):
-            for j in np.flatnonzero(~connected):
-                if usable[i, j]:
-                    key = (gains_bb[i, j], -i, -j)
-                    if key > (best[0], -best[1], -best[2]):
-                        best = (gains_bb[i, j], i, j)
-        _, i, j = best
-        b[i, j] = b[j, i] = True
+        frontier = np.flatnonzero(~connected)
+        frontier = frontier[gain[frontier] == gain[frontier].max()]
+        j = frontier[np.argmin(parent[frontier])]
+        b[parent[j], j] = b[j, parent[j]] = True
         connected[j] = True
+        join(j)
     return b
+
+
+def bfs_tree(n: int, edges: np.ndarray, seeds: np.ndarray, reverse: bool = False):
+    """Breadth-first tree from `seeds` (a mask or ids) over n nodes.
+
+    Walks each row (i, j) of the (E, 2) `edges` from i to j, or from j to i
+    with `reverse`.  Seeds are visited in id order, each node's edges in id
+    order of their far end, so the tree path to a node is its
+    lexicographically least shortest path from a seed, and the discovery
+    order sorts the reached nodes by (depth, that path).  The edges must
+    be sorted by (i, j), as `np.argwhere` output or a subset of one is:
+    the tree is read off a CSR graph, whose rows scan in column order.
+
+    Returns (pred, order): pred[v] indexes the tree edge into v (-1 at a
+    seed or an unreached node), and order lists the reached nodes in
+    discovery order, seeds first.
+    """
+    edges = np.asarray(edges, dtype=np.int32).reshape(-1, 2)
+    is_seed = np.zeros(n, dtype=bool)
+    is_seed[seeds] = True
+    seeds = np.flatnonzero(is_seed).astype(np.int32)
+    src, dst = (edges[:, 1], edges[:, 0]) if reverse else edges.T
+    perm = np.argsort(src, kind="stable")
+    # a virtual source n feeds every seed; int32 indices spare csgraph a copy
+    src = np.concatenate([src[perm], np.full(seeds.size, n, dtype=np.int32)])
+    dst = np.concatenate([dst[perm], seeds])
+    key = src * np.int64(n + 1) + dst
+    if (key[1:] <= key[:-1]).any():
+        raise ValueError("bfs_tree needs distinct edges sorted by (tail, head)")
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
+    graph = sp.csr_matrix((np.ones(src.size), dst, indptr), shape=(n + 1, n + 1))
+    order, parent = csgraph.breadth_first_order(graph, n, return_predecessors=True)
+    order = order[1:]
+    pred = np.full(n, -1)
+    tree = order[parent[order] != n]
+    pred[tree] = perm[np.searchsorted(key, parent[tree] * np.int64(n + 1) + tree)]
+    return pred, order
+
+
+def walks(n: int, edges: np.ndarray, seeds: np.ndarray, reverse: bool = False):
+    """Walks along the `bfs_tree` edges from every node back to its seed.
+
+    Returns the walk-count matrix P' as an (n_edges, n) CSC matrix, whose
+    column b counts the edges on b's walk, and the seed each walk ends at
+    (-1 where no walk exists).  P' @ counts then routes counts[b] units
+    from every node b.
+    """
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    pred, order = bfs_tree(n, edges, seeds, reverse)
+    pred, up = pred.tolist(), edges[:, 1 if reverse else 0].tolist()
+    walk = [[] for _ in range(n)]
+    end = np.full(n, -1)
+    for v in order.tolist():     # a tree edge's seed end `up` comes first
+        e = pred[v]
+        if e < 0:
+            end[v] = v
+        else:
+            walk[v] = [e, *walk[up[e]]]
+            end[v] = end[up[e]]
+    indptr = np.cumsum([0] + [len(w) for w in walk])
+    P_t = sp.csc_matrix((np.ones(indptr[-1]), [e for w in walk for e in w], indptr),
+                        shape=(edges.shape[0], n))
+    return P_t, end
 
 
 def reachable(adj: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Mask of the nodes reachable from any seed along the directed edges
     i -> j of the boolean (n, n) `adj`, seeds included."""
-    n = adj.shape[0]
-    graph = np.zeros((n + 1, n + 1), dtype=bool)
-    graph[:n, :n] = adj
-    graph[n, :n] = seeds      # a virtual source feeding every seed
-    reach = np.zeros(n + 1, dtype=bool)
-    reach[csgraph.breadth_first_order(sp.csr_matrix(graph), n,
-                                      return_predecessors=False)] = True
-    return reach[:n]
+    reach = np.zeros(adj.shape[0], dtype=bool)
+    reach[bfs_tree(adj.shape[0], np.argwhere(adj), seeds)[1]] = True
+    return reach
 
 
 def make_scenario(variant: Variant | str, links: LinkTable, anchors: AnchorSet,
-                  seed: int = 0, gains_bb: np.ndarray | None = None) -> ConnectivityPattern:
+                  seed: int = 0) -> ConnectivityPattern:
     """Build the access and backhaul matrices for one scenario variant.
 
     The same seed gives identical strongest-link tie-breaks across variants,
@@ -162,7 +234,6 @@ def make_scenario(variant: Variant | str, links: LinkTable, anchors: AnchorSet,
     load-balanced one).
     """
     variant = Variant(variant)
-    gains_bb = links.gain_bb if gains_bb is None else gains_bb
     zero_b = np.zeros((links.n_bs, links.n_bs), dtype=bool)
 
     if variant is Variant.ACCESS_SS:
@@ -173,7 +244,7 @@ def make_scenario(variant: Variant | str, links: LinkTable, anchors: AnchorSet,
         backhaul = zero_b
     elif variant is Variant.IAB_ST:
         access, unserved = access_signal_strength(links, seed)
-        backhaul = backhaul_spanning_tree(gains_bb, anchors, links.exists_bb)
+        backhaul = backhaul_spanning_tree(links.gain_bb, anchors, links.exists_bb)
     elif variant is Variant.IAB_MESH_SS:
         access, unserved = access_signal_strength(links, seed)
         backhaul = backhaul_mesh(links)

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import csv
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import Variant, make_scenario
+from .connectivity import Variant, bfs_tree, make_scenario
 from .errors import DecompositionError, MetricsError
 from .geometry import AnchorSet, Topology, select_anchors
 from .linkbudget import LinkTable
@@ -117,27 +116,6 @@ class HopReport:
         return vals, np.arange(1, vals.size + 1) / vals.size
 
 
-def _lex_shortest_paths(n_bs: int, edges: dict, sources: list):
-    """Per node: (depth, path tuple) of the lexicographically-least shortest
-    path from any source over the positive-residual edge dict {(i, j): f}."""
-    best = {s: (0, (s,)) for s in sorted(sources)}
-    frontier = deque(sorted(sources))
-    adj = [[] for _ in range(n_bs)]
-    for (i, j) in sorted(edges):
-        adj[i].append(j)
-    while frontier:
-        v = frontier.popleft()
-        depth, path = best[v]
-        for w in adj[v]:
-            cand = (depth + 1, path + (w,))
-            if w not in best:
-                best[w] = cand
-                frontier.append(w)
-            elif best[w][0] == cand[0] and cand[1] < best[w][1]:
-                best[w] = cand
-    return best
-
-
 def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
                residual_tol: float = 1e-3) -> HopReport:
     """Decompose downlink backhaul flow into anchor-rooted paths and average.
@@ -145,8 +123,10 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
     Iterative shortest-path peeling on the positive-flow subgraph: while any
     non-anchor BS still has unmet delivered demand, peel the globally
     shortest (then lexicographically least) anchor-to-demand path at the
-    bottleneck rate.  Each BS's hop count is the rate-weighted mean hop count
-    of the paths that end there; anchors are exactly 0.
+    bottleneck rate.  That path is the `bfs_tree` path to the first node in
+    discovery order with demand left; the tree changes only when a peel
+    empties an edge.  Each BS's hop count is the rate-weighted mean hop
+    count of the paths that end there; anchors are exactly 0.
 
     Interior-point solutions leave small circulating flows on links the
     optimum does not use; a balanced leftover field is harmless and only
@@ -156,55 +136,51 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
     """
     B = problem.n_bs
     cls = problem.flow_class_slices()
-    na, nd = problem.ul_access.shape[0], problem.dl_access.shape[0]
-    nbu = problem.ul_backhaul.shape[0]
+    edges = problem.dl_backhaul
     x = solution.x
 
-    delivered = np.zeros(B)
-    for k, (b, _u) in enumerate(problem.dl_access):
-        delivered[b] += x[na + k]
-    edge_flow = {}
-    for k, (i, j) in enumerate(problem.dl_backhaul):
-        edge_flow[(int(i), int(j))] = float(x[na + nd + nbu + k])
-    total_bh = sum(edge_flow.values())
+    delivered = np.bincount(problem.dl_access[:, 0], weights=x[cls["dl_access"]],
+                            minlength=B)
+    flow = x[cls["dl_backhaul"]].copy()
+    total_bh = sum(flow.tolist())     # summed left to right, in edge order
 
-    eps = 1e-12 + 1e-9 * max([*edge_flow.values(), delivered.max(), 1e-30])
+    eps = 1e-12 + 1e-9 * max(np.max(flow, initial=1e-30), delivered.max())
     demand = np.where(anchors.y, 0.0, delivered)
     hops = np.full(B, np.nan)
     hops[anchors.y] = 0.0
     weighted = np.zeros(B)
     peeled = np.zeros(B)
 
-    anchor_ids = [int(a) for a in np.flatnonzero(anchors.y)]
+    tail = edges[:, 0].tolist()
     while demand.max() > eps:
-        residual = {e: f for e, f in edge_flow.items() if f > eps}
-        best = _lex_shortest_paths(B, residual, anchor_ids)
-        targets = [(best[b][0], best[b][1], b) for b in np.flatnonzero(demand > eps)
-                   if b in best]
-        if not targets:
+        alive = np.flatnonzero(flow > eps)
+        pred, order = bfs_tree(B, edges[alive], anchors.y)
+        targets = order[demand[order] > eps]
+        if not targets.size:
             raise DecompositionError(
                 "unmet downlink demand with no remaining flow path "
                 f"(residual demand {demand.max():.3e})")
-        depth, path, b = min(targets)
-        q = demand[b]
-        for u, v in zip(path[:-1], path[1:]):
-            q = min(q, edge_flow[(u, v)])
-        for u, v in zip(path[:-1], path[1:]):
-            edge_flow[(u, v)] -= q
-        demand[b] -= q
-        weighted[b] += q * depth
-        peeled[b] += q
+        pred, alive = pred.tolist(), alive.tolist()
+        for b in targets.tolist():
+            path, node = [], b
+            while pred[node] >= 0:
+                path.append(alive[pred[node]])
+                node = tail[path[-1]]
+            q = min(demand[b], flow[path].min())
+            flow[path] -= q
+            demand[b] -= q
+            weighted[b] += q * len(path)
+            peeled[b] += q
+            if (flow[path] <= eps).any():
+                break
 
-    for b in range(B):
-        if peeled[b] > 0:
-            hops[b] = weighted[b] / peeled[b]
+    has = peeled > 0
+    hops[has] = weighted[has] / peeled[has]
 
-    leftover = sum(edge_flow.values())
+    leftover = sum(flow.tolist())
     residual_rel = leftover / total_bh if total_bh > eps else 0.0
-    imbalance = np.zeros(B)
-    for (i, j), f in edge_flow.items():
-        imbalance[j] += f
-        imbalance[i] -= f
+    imbalance = np.bincount(edges[:, ::-1].ravel(), weights=np.c_[flow, -flow].ravel(),
+                            minlength=B)
     worst = float(np.abs(imbalance[~anchors.y]).max()) if (~anchors.y).any() else 0.0
     scale = max(total_bh, delivered.sum(), eps)
     if worst / scale > residual_tol:

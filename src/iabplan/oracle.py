@@ -7,10 +7,13 @@ points that violate a backhaul capacity, fiber or resource row, and keep the
 best geometric mean found.
 
 Instances must have at most 6 time variables and a forest-shaped backhaul,
-so each UE has a single simple route per direction.  Reverse-direction
-backhaul variables (present because availability is symmetric on tree edges)
-can only carry circulating flow, which never increases any rate; the oracle
-pins them to zero and searches the remaining dimensions.
+so each UE has a single simple route per direction.  The routes come from
+the shared `connectivity.walks`; the solver uses those walks only to seed
+its start point, so the bracket stays independent of the solver's answer.
+Reverse-direction backhaul variables (present because availability is
+symmetric on tree edges) can only carry circulating flow, which never
+increases any rate; the oracle pins them to zero and searches the remaining
+dimensions.
 
 The search is exhaustive per lattice, with multiresolution refinement above
 two effective dimensions: the map from a time allocation to the best
@@ -22,11 +25,13 @@ estimated from the final grid spacing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
+from .connectivity import walks
 from .errors import OracleError
 from .problem import RateProblem
 
@@ -47,101 +52,35 @@ class OracleBracket:
                 <= self.gm_hi_bps * (1 + rel_slack))
 
 
-def _forest_or_fail(pairs) -> None:
-    parent = {}
-
-    def find(a):
-        while parent.setdefault(a, a) != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            raise OracleError("oracle needs a forest-shaped backhaul")
-        parent[ri] = rj
-
-
-def _route_tree(n_bs, anchors, edges, toward_anchor: bool):
-    """BFS hop pointers over a backhaul edge list.
-
-    toward_anchor=True: per node, the (edge, next node) moving one hop
-    closer to an anchor (uplink direction).  Otherwise the (edge, previous
-    node) on the path from an anchor down to the node (downlink direction).
-    Deterministic: BFS visits nodes in discovery order, edges in index order.
-    """
-    adj = [[] for _ in range(n_bs)]
-    for e, (i, j) in enumerate(edges):
-        if toward_anchor:
-            adj[j].append((e, int(i)))   # explore backwards from anchors
-        else:
-            adj[i].append((e, int(j)))
-    hop = [None] * n_bs
-    seen = [False] * n_bs
-    queue = deque(sorted(anchors))
-    for a in anchors:
-        seen[a] = True
-    while queue:
-        v = queue.popleft()
-        for e, w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                hop[w] = (e, v)
-                queue.append(w)
-    return hop
-
-
 def _routes(problem: RateProblem):
     """Per-UE access var ids, backhaul path matrices and fiber roots."""
-    n_inc = problem.n_included
-    na, nd = problem.ul_access.shape[0], problem.dl_access.shape[0]
-    if na != n_inc or nd != n_inc:
+    n_inc, B = problem.n_included, problem.n_bs
+    ul_acc, dl_acc = problem.ul_access, problem.dl_access
+    if ul_acc.shape[0] != n_inc or dl_acc.shape[0] != n_inc:
         raise OracleError("oracle needs exactly one UL and one DL access link per UE")
 
-    undirected = {(min(int(i), int(j)), max(int(i), int(j)))
-                  for i, j in np.vstack([problem.ul_backhaul.reshape(-1, 2),
-                                         problem.dl_backhaul.reshape(-1, 2)])}
-    _forest_or_fail(sorted(undirected))
+    # a graph is a forest iff it has n_bs - n_components undirected edges
+    pairs = np.unique(np.sort(np.vstack([problem.ul_backhaul.reshape(-1, 2),
+                                         problem.dl_backhaul.reshape(-1, 2)]),
+                              axis=1), axis=0)
+    n_comp = csgraph.connected_components(
+        sp.csr_matrix((np.ones(len(pairs)), pairs.T), shape=(B, B)), directed=False)[0]
+    if len(pairs) != B - n_comp:
+        raise OracleError("oracle needs a forest-shaped backhaul")
 
-    anchors = [int(a) for a in np.flatnonzero(problem.anchors_y)]
-    up = _route_tree(problem.n_bs, anchors, problem.ul_backhaul, toward_anchor=True)
-    down = _route_tree(problem.n_bs, anchors, problem.dl_backhaul, toward_anchor=False)
-    anchor_set = set(anchors)
+    def paths(edges, bs, ue, reverse):
+        """Per included UE (in id order): its access variable, the indicator
+        column of its backhaul walk and the anchor the walk ends at."""
+        P_t, end = walks(B, edges, problem.anchors_y, reverse)
+        stuck = bs[end[bs] < 0]
+        if stuck.size:
+            raise OracleError(f"site {stuck[0]} has no route to an anchor")
+        var = np.argsort(ue)
+        return var, P_t[:, bs[var]].toarray(), end[bs[var]]
 
-    def path(bs, hops):
-        edges = []
-        node = int(bs)
-        for _ in range(problem.n_bs + 1):
-            if node in anchor_set:
-                return edges, node
-            if hops[node] is None:
-                raise OracleError(f"site {node} has no route to an anchor")
-            e, node = hops[node]
-            edges.append(e)
-        raise OracleError("backhaul routing contains a cycle")
-
-    pos = {int(u): k for k, u in enumerate(problem.ue_ids)}
-    ul_var = np.zeros(n_inc, dtype=int)
-    dl_var = np.zeros(n_inc, dtype=int)
-    nbu, nbd = problem.ul_backhaul.shape[0], problem.dl_backhaul.shape[0]
-    p_ul = np.zeros((nbu, n_inc))
-    p_dl = np.zeros((nbd, n_inc))
-    root_ul = np.zeros(n_inc, dtype=int)
-    root_dl = np.zeros(n_inc, dtype=int)
-    for k, (u, b) in enumerate(problem.ul_access):
-        ue = pos[int(u)]
-        ul_var[ue] = k
-        edges, root = path(b, up)
-        p_ul[edges, ue] = 1.0
-        root_ul[ue] = root
-    for k, (b, u) in enumerate(problem.dl_access):
-        ue = pos[int(u)]
-        dl_var[ue] = na + k
-        edges, root = path(b, down)
-        p_dl[edges, ue] = 1.0
-        root_dl[ue] = root
-    return ul_var, dl_var, p_ul, p_dl, root_ul, root_dl
+    ul_var, p_ul, root_ul = paths(problem.ul_backhaul, ul_acc[:, 1], ul_acc[:, 0], True)
+    dl_var, p_dl, root_dl = paths(problem.dl_backhaul, dl_acc[:, 0], dl_acc[:, 1], False)
+    return ul_var, n_inc + dl_var, p_ul, p_dl, root_ul, root_dl
 
 
 def brute_force_oracle(problem: RateProblem, grid_resolution: int = 1000) -> OracleBracket:

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .connectivity import walks
 from .errors import ConvergenceError, InfeasibleProblemError
 from .problem import RateProblem, validate
 
@@ -114,56 +115,6 @@ def _incident_time_counts(problem: RateProblem) -> np.ndarray:
     return (sp.diags(res.getnnz(axis=1), dtype=float) @ res).max(axis=0).toarray().ravel()
 
 
-def _bfs_tree(n_nodes, seeds, edges, forward=True):
-    """BFS over an edge list; returns per-node (pred_edge, pred_node) or None.
-
-    forward=True explores tail->head, otherwise head->tail.  Deterministic:
-    nodes dequeue in id order of first discovery, edges scan in index order.
-    """
-    from collections import deque
-
-    adj = [[] for _ in range(n_nodes)]
-    for e, (i, j) in enumerate(edges):
-        if forward:
-            adj[i].append((e, j))
-        else:
-            adj[j].append((e, i))
-    pred = [None] * n_nodes
-    seen = np.zeros(n_nodes, dtype=bool)
-    seen[seeds] = True
-    queue = deque(sorted(seeds))
-    while queue:
-        v = queue.popleft()
-        for e, w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                pred[w] = (e, v)
-                queue.append(w)
-    return pred, seen
-
-
-def _walks(n_nodes, seeds, edges, forward):
-    """Walks along the `_bfs_tree` pointers from every node to its seed.
-
-    Returns the walk-count matrix P' as an (n_edges, n_nodes) CSC matrix,
-    whose column b counts the edges on b's walk, and the seed each walk
-    ends at (-1 where no walk exists).  P' @ counts then routes counts[b]
-    units from every node b.
-    """
-    pred, seen = _bfs_tree(n_nodes, seeds, edges, forward)
-    walk_edges, indptr, ends = [], [0], []
-    for b in range(n_nodes):
-        node = b
-        while pred[node] is not None:   # None at a seed or an unseen node
-            e, node = pred[node]
-            walk_edges.append(e)
-        indptr.append(len(walk_edges))
-        ends.append(node)
-    P_t = sp.csc_matrix((np.ones(len(walk_edges)), walk_edges, indptr),
-                        shape=(len(edges), n_nodes))
-    return P_t, np.where(seen, ends, -1)
-
-
 def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
     """Interior starting point: 0.9-scaled uniform time split, routed flows.
 
@@ -185,10 +136,10 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
     def fail(msg):
         raise InfeasibleProblemError(f"cannot construct interior point: {msg}")
 
-    def route(seeds, edges, forward, starts, no_walk):
+    def route(seeds, edges, reverse, starts, no_walk):
         """One unit from each start (with repeats) along its canonical walk:
         per-edge unit counts, and per-node counts of walks ending there."""
-        P_t, end = _walks(B, seeds, edges.tolist(), forward)
+        P_t, end = walks(B, edges, seeds, reverse)
         n_start = np.bincount(starts, minlength=B)
         stuck = np.flatnonzero(n_start * (end < 0))
         if stuck.size:
@@ -197,15 +148,15 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
 
     # walks: UL up to an anchor, DL down from an anchor, DL on to a
     # UE-serving BS, UL back from a UE-serving BS
-    up_e, up_end = route(anchors, ul_bh, False, np.r_[ul_acc[:, 1], ul_bh[:, 1]],
+    up_e, up_end = route(anchors, ul_bh, True, np.r_[ul_acc[:, 1], ul_bh[:, 1]],
                          "has no uplink route to an anchor")
-    down_e, down_end = route(anchors, dl_bh, True, np.r_[dl_acc[:, 0], dl_bh[:, 0]],
+    down_e, down_end = route(anchors, dl_bh, False, np.r_[dl_acc[:, 0], dl_bh[:, 0]],
                              "has no downlink route from an anchor")
     t_d, first_dl = np.unique(dl_acc[:, 0], return_index=True)
     s_u, first_ul = np.unique(ul_acc[:, 1], return_index=True)
-    sink_e, sink_end = route(t_d, dl_bh, False, np.r_[dl_bh[:, 1], m_bs[~m_ul]],
+    sink_e, sink_end = route(t_d, dl_bh, True, np.r_[dl_bh[:, 1], m_bs[~m_ul]],
                              "cannot dispose of downlink flow")
-    src_e, src_end = route(s_u, ul_bh, True, np.r_[ul_bh[:, 0], m_bs[m_ul]],
+    src_e, src_end = route(s_u, ul_bh, False, np.r_[ul_bh[:, 0], m_bs[m_ul]],
                            "receives no uplink flow")
 
     flow = np.ones(nf)

@@ -1,10 +1,69 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iabplan import (AnchorSet, ConnectivityError, Variant, access_load_balanced,
                      access_signal_strength, backhaul_mesh, backhaul_spanning_tree,
                      build_link_table, generate_grid, make_scenario, synthetic_gains)
+from iabplan.connectivity import bfs_tree, reachable, usable_pairs
 from iabplan.testkit import links_from_caps
+
+
+def random_digraph(n, density, seed):
+    """Boolean (n, n) adjacency without self-loops and a nonempty seed mask."""
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < density
+    np.fill_diagonal(adj, False)
+    seeds = rng.random(n) < 0.3
+    seeds[rng.integers(n)] = True
+    return adj, seeds
+
+
+def lex_shortest_paths(n, edges, sources):
+    """Per node: (depth, path tuple) of the lexicographically least shortest
+    path from any source, by a queue BFS that compares whole paths."""
+    best = {s: (0, (s,)) for s in sorted(sources)}
+    frontier = deque(sorted(sources))
+    adj = [[] for _ in range(n)]
+    for (i, j) in sorted(edges):
+        adj[i].append(j)
+    while frontier:
+        v = frontier.popleft()
+        depth, path = best[v]
+        for w in adj[v]:
+            cand = (depth + 1, path + (w,))
+            if w not in best:
+                best[w] = cand
+                frontier.append(w)
+            elif best[w][0] == cand[0] and cand[1] < best[w][1]:
+                best[w] = cand
+    return best
+
+
+def pair_loop_tree(gains_bb, anchors, exists_bb):
+    """Spanning tree by scanning every (connected, unconnected) pair for the
+    strongest edge, ties toward the lowest (connected, unconnected) ids."""
+    n = gains_bb.shape[0]
+    usable = exists_bb & exists_bb.T
+    np.fill_diagonal(usable, False)
+    connected = anchors.y.copy()
+    b = np.zeros((n, n), dtype=bool)
+    while not connected.all():
+        best = (-np.inf, n, n)
+        for i in np.flatnonzero(connected):
+            for j in np.flatnonzero(~connected):
+                if usable[i, j]:
+                    key = (gains_bb[i, j], -i, -j)
+                    if key > (best[0], -best[1], -best[2]):
+                        best = (gains_bb[i, j], i, j)
+        _, i, j = best
+        if i == n:
+            raise ConnectivityError("stranded")
+        b[i, j] = b[j, i] = True
+        connected[j] = True
+    return b
 
 
 def three_bs_links(c0=3e9, c1=5e9, c2=5e9):
@@ -43,6 +102,27 @@ class TestAccessSignalStrength:
         assert access[0, 2]  # strongest among the allowed sites
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_per_ue_loop(self, n_ue, n_bs, seed):
+        # capacities from a three-value set, so ties are common
+        rng = np.random.default_rng(seed)
+        cap_ub = rng.choice([0.0, 2e9, 4e9], size=(n_ue, n_bs))
+        links = links_from_caps(cap_ub, (cap_ub > 0).T * 3e9, np.zeros((n_bs, n_bs)))
+        serving = rng.random(n_bs) < 0.7
+        for mask in (None, serving):
+            eligible = usable_pairs(links, mask)
+            cap = np.where(eligible, links.cap_ub, -np.inf)
+            expected = np.zeros(eligible.shape, dtype=bool)
+            draws = np.random.default_rng(seed)
+            for u in np.flatnonzero(eligible.any(axis=1)):
+                cands = np.flatnonzero(cap[u] == cap[u].max())
+                expected[u, cands[0] if cands.size == 1 else draws.choice(cands)] = True
+            access, unserved = access_signal_strength(links, seed, serving=mask)
+            assert (access == expected).all()
+            assert (unserved == ~eligible.any(axis=1)).all()
+
+
 class TestAccessLoadBalanced:
     def test_all_existing_links(self):
         links = three_bs_links()
@@ -78,7 +158,64 @@ class TestBackhaulMesh:
         assert b.sum() <= 18 * 17
 
 
+class TestBfsTree:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+    def test_tree_paths_are_lex_least_shortest(self, n, density, seed):
+        adj, seeds = random_digraph(n, density, seed)
+        edges = np.argwhere(adj)
+        best = lex_shortest_paths(n, set(map(tuple, edges.tolist())),
+                                  np.flatnonzero(seeds).tolist())
+        pred, order = bfs_tree(n, edges, seeds)
+        assert sorted(order.tolist()) == sorted(best)
+        for v in order.tolist():
+            path = [v]
+            while pred[path[0]] >= 0:
+                i, j = edges[pred[path[0]]]
+                assert j == path[0]
+                path.insert(0, int(i))
+            assert (len(path) - 1, tuple(path)) == best[v]
+        # discovery order sorts the reached nodes by (depth, path)
+        assert order.tolist() == sorted(best, key=lambda v: best[v])
+        assert (pred[~reachable(adj, seeds)] == -1).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 9), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+    def test_reverse_walks_the_transpose(self, n, density, seed):
+        adj, seeds = random_digraph(n, density, seed)
+        edges, edges_t = np.argwhere(adj), np.argwhere(adj.T)
+        pred, order = bfs_tree(n, edges, seeds, reverse=True)
+        pred_t, order_t = bfs_tree(n, edges_t, seeds)
+        assert order.tolist() == order_t.tolist()
+        assert (pred[order] >= 0).sum() == (pred_t[order_t] >= 0).sum()
+        for v in order[pred[order] >= 0]:
+            assert (edges[pred[v]][::-1] == edges_t[pred_t[v]]).all()
+
+    def test_unsorted_edges_rejected(self):
+        with pytest.raises(ValueError):
+            bfs_tree(3, np.array([[0, 2], [0, 1]]), np.array([0]))
+
+
 class TestSpanningTree:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_matches_pair_loop(self, n, seed):
+        # integer gains tie often; some usable edges have gain -inf
+        rng = np.random.default_rng(seed)
+        gains = rng.integers(-3, 1, size=(n, n)).astype(float)
+        gains[rng.random((n, n)) < 0.15] = -np.inf
+        exists = rng.random((n, n)) < 0.7
+        y = rng.random(n) < 0.3
+        y[rng.integers(n)] = True
+        anchors = AnchorSet(y)
+        try:
+            expected = pair_loop_tree(gains, anchors, exists)
+        except ConnectivityError:
+            with pytest.raises(ConnectivityError, match="unreachable"):
+                backhaul_spanning_tree(gains, anchors, exists)
+        else:
+            assert (backhaul_spanning_tree(gains, anchors, exists) == expected).all()
+
     def test_hand_traced_example(self):
         # anchor A with gains A-B = -80, A-C = -90, B-C = -85:
         # first edge A-B (strongest), then B-C (-85 beats -90)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from iabplan.testkit import analytic_chain_instance, links_from_caps
 
 def small_report(rates_mbps, scenario="access_ss", excluded=0):
     r = np.asarray(rates_mbps, dtype=float) * 1e6
-    gm = float(np.exp(np.mean(np.log(np.concatenate([r, r])))))
+    gm = float(np.exp(np.log(r).mean())) if r.size else 0.0
     return RateReport(scenario=scenario, anchor_count=1,
                       ue_ids=np.arange(r.size), r_ul_bps=r, r_dl_bps=r,
                       gm_bps=gm, n_excluded=excluded, n_total=r.size + excluded)
@@ -112,6 +113,36 @@ class TestHopCounts:
         for b in np.flatnonzero(~anchors.y):
             if delivered[b] > 0:
                 assert hr.peeled_bps[b] == pytest.approx(delivered[b], rel=1e-6)
+
+    # sha256 of `hops`, `peeled_bps` and `residual_rel` on the 3x6 grid with
+    # 60 UEs, seed 1 and 7 greedy anchors, recorded from the path-peeling
+    # implementation that compared whole path tuples
+    GOLDEN = {
+        "iab_st": ("90be4020012e4186c0c77170df04e90b03a9c7447df70598089ee86479eeb94e",
+                   "f304cc2ac90f130c040d35e41aae06745300cc23142b99929b030221622267aa",
+                   "3e369a0e67fb89a58a90dcbe6b480e59d2f6906f92b9b4fd70f487c63cdacc38"),
+        "iab_mesh_ss": ("e76fcb448c9cbc999a86b6079679771dd89a6b7d81b95b7750e1b3a7e55a65fe",
+                        "c38ed2f97012d0b2d7e0e109c25b6b9557bd362238e7dbd9f90d599a3242b219",
+                        "19da817ebf8e21dc8f43a35788fbbccd817d808b2d867ab9855e83e6412fef6f"),
+        "iab_mesh_lb": ("96dd9d177661834f2f9b452e8b08350c9925bc8115e0d7e4c0e667c4f1140c94",
+                        "982f4e00b5f9067e0c3d5e504fb4a3cd915025f2336525f5cd9d1cf2019db092",
+                        "dfc4b2d4a01ef4e676a19cf010d91769eacd2ca27a58c272dc25e2a4f1168f01"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_golden_on_grid(self, variant):
+        topo = generate_grid(3, 6, 200.0, 60, 1)
+        links = build_link_table(synthetic_gains(topo))
+        anchors = select_anchors(topo, 7, "greedy-coverage", links=links, seed=1)
+        pattern = make_scenario(variant, links, anchors, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prob = assemble(links, pattern, anchors)
+        sol, _ = solve(prob)
+        hr = hop_counts(prob, sol, anchors)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in
+                        (hr.hops, hr.peeled_bps, np.float64(hr.residual_rel)))
+        assert digests == self.GOLDEN[variant]
 
     def test_cdf_points(self):
         hops = np.array([0.0, 0.0, 1.0, 2.0])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ def test_rejects_non_forest_backhaul():
     else:
         with pytest.raises(OracleError, match="time variables"):
             brute_force_oracle(prob)
+
+
+def test_forest_check_rejects_triangle():
+    # few enough time variables to pass the size check, then a triangle
+    prob, _ = analytic_chain_instance()
+    assert prob.n_flow <= 6
+    cyclic = replace(prob, n_bs=3, ul_backhaul=np.array([[0, 1], [1, 2], [2, 0]]))
+    with pytest.raises(OracleError, match="forest"):
+        brute_force_oracle(cyclic)
 
 
 @pytest.mark.parametrize("seed", range(6))
