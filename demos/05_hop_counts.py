@@ -8,8 +8,6 @@ definition, so the CDF has mass k/n_bs at zero.  Tree backhaul cannot route
 around busy anchors, so its hop counts run higher than the mesh's.
 """
 
-import numpy as np
-
 from iabplan import (Variant, assemble, build_link_table, generate_grid,
                      hop_counts, make_scenario, select_anchors, solve,
                      synthetic_gains)

@@ -218,10 +218,7 @@ def select_anchors(topology: Topology, k=None, policy: str = "seeded-random", *,
         best = np.zeros(topology.n_ue)
         y = np.zeros(n, dtype=bool)
         for _ in range(k):
-            gains = np.array([
-                np.count_nonzero(cap_dl[s] > best) if not y[s] else -1
-                for s in range(n)
-            ])
+            gains = np.where(y, -1, (cap_dl > best).sum(axis=1))
             pick = int(np.argmax(gains))  # argmax takes the lowest id on ties
             y[pick] = True
             best = np.maximum(best, cap_dl[pick])

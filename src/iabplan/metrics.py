@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,9 +216,7 @@ def fiber_sweep(topology: Topology, links: LinkTable, variants, k_values,
             for variant in variants:
                 variant = Variant(variant)
                 pattern = make_scenario(variant, links, anchors, seed=seed)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    prob = assemble(links, pattern, anchors, links.cfg)
+                prob = assemble(links, pattern, anchors)
                 solution, _cert = solve(prob, solver_cfg)
                 rows.append(SweepRow(k=int(k), variant=variant.value,
                                      seed=int(seed), gm_bps=solution.gm_bps,

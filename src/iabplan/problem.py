@@ -37,7 +37,6 @@ variable itself (see Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 11).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,7 @@ import scipy.sparse as sp
 from .connectivity import ConnectivityPattern, reachable
 from .errors import InfeasibleProblemError
 from .geometry import AnchorSet
-from .linkbudget import BudgetConfig, LinkTable
+from .linkbudget import LinkTable
 
 
 @dataclass
@@ -87,16 +86,8 @@ class RateProblem:
         return self.ue_ids.size
 
     @property
-    def sl_flow(self) -> slice:
-        return slice(0, self.n_flow)
-
-    @property
     def sl_time(self) -> slice:
         return slice(self.n_flow, 2 * self.n_flow)
-
-    @property
-    def sl_m(self) -> slice:
-        return slice(2 * self.n_flow, self.n_var)
 
     def flow_class_slices(self) -> dict:
         """Slices of the flow block per link class."""
@@ -110,14 +101,9 @@ class RateProblem:
             "dl_backhaul": slice(o[3], o[4]),
         }
 
-    def rates_norm(self, x: np.ndarray):
-        r = self.U_mat @ x
-        n = self.n_included
-        return r[:n], r[n:]
-
     def rates_bps(self, x: np.ndarray):
-        r_ul, r_dl = self.rates_norm(x)
-        return r_ul * self.scale_bps, r_dl * self.scale_bps
+        r = (self.U_mat @ x) * self.scale_bps
+        return r[:self.n_included], r[self.n_included:]
 
     def objective_log(self, x: np.ndarray) -> float:
         """Sum of log rates in normalized units (-inf if any rate is 0)."""
@@ -169,15 +155,15 @@ class RateProblem:
                 fh.write(f"ue{ue}: {ul} / {dl}\n")
 
 
-def assemble(links: LinkTable, pattern: ConnectivityPattern, anchors: AnchorSet,
-             cfg: BudgetConfig | None = None) -> RateProblem:
+def assemble(links: LinkTable, pattern: ConnectivityPattern,
+             anchors: AnchorSet) -> RateProblem:
     """Build the RateProblem for one scenario.
 
     Raises InfeasibleProblemError when no UE is servable.  UEs attached only
-    to sites with no route to a fiber drop are excluded as "starved" with a
-    warning; UEs with no eligible link at all are excluded as "no_link".
+    to sites with no route to a fiber drop are excluded as "starved", and
+    UEs with no eligible link at all as "no_link"; both are reported only in
+    `excluded`.
     """
-    cfg = cfg or links.cfg
     B, U = links.n_bs, links.n_ue
     y = anchors.y
     if y.shape[0] != B:
@@ -199,13 +185,10 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern, anchors: AnchorSet,
     had_any = ul_acc_ok.any(axis=1) | dl_acc_ok.any(axis=1)
     excluded = {int(u): "starved" if had_any[u] else "no_link"
                 for u in np.flatnonzero(~included)}
-    n_starved = int(np.count_nonzero(~included & had_any))
-    if n_starved:
-        warnings.warn(
-            f"{n_starved} UE(s) starved (attached to sites with no route to "
-            "fiber); excluded from the objective", stacklevel=2)
     if not included.any():
-        raise InfeasibleProblemError("no servable UEs")
+        raise InfeasibleProblemError(
+            f"no servable UEs: {np.count_nonzero(had_any)} of {U} starved "
+            "(attached to sites with no route to fiber)")
     ul_ok &= included[:, None]
     dl_ok &= included[:, None]
 
@@ -238,7 +221,7 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern, anchors: AnchorSet,
         raise InfeasibleProblemError("no usable link capacity")
     scale = float(cap_bps.max())
     cap = cap_bps / scale
-    fiber_norm = cfg.fiber_capacity_bps / scale
+    fiber_norm = links.cfg.fiber_capacity_bps / scale
 
     nf = cap.size
     nm = len(m_vars)

@@ -25,7 +25,7 @@ deterministic: no randomized steps, single-threaded sparse factorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,29 +58,28 @@ class SolverConfig:
 
 
 @dataclass
+class KktReport:
+    """Residuals of the KKT system at a candidate primal/dual pair."""
+
+    ok: bool
+    stationarity: float      # relative to the objective gradient scale
+    primal_ineq: float
+    primal_eq: float
+    dual_feas_min: float     # most negative multiplier (>= 0 when clean)
+    comp_gap_rel: float      # lambda' s per log-rate term
+
+
+@dataclass
 class Certificate:
     """Optimality evidence attached to a solve."""
 
-    converged: bool
     gap_rel: float                 # duality gap bound per log-rate term
-    max_primal_residual: float
+    kkt: KktReport                 # check_kkt at the solve's tolerances
     objective_trace: list          # sum of log rates after each outer iteration
     outer_iters: int
     inner_iters: int
     tau_final: float
     n_inequalities: int
-
-    def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "gap_rel": self.gap_rel,
-            "max_primal_residual": self.max_primal_residual,
-            "objective_trace": list(self.objective_trace),
-            "outer_iters": self.outer_iters,
-            "inner_iters": self.inner_iters,
-            "tau_final": self.tau_final,
-            "n_inequalities": self.n_inequalities,
-        }
 
 
 @dataclass
@@ -96,7 +95,6 @@ class Solution:
     scale_bps: float
     lam: np.ndarray               # inequality multipliers
     nu: np.ndarray                # equality multipliers
-    tau_final: float
 
     def to_dict(self) -> dict:
         return {
@@ -105,7 +103,6 @@ class Solution:
             "objective_log": self.objective_log,
             "n_ues_served": int(self.ue_ids.size),
             "scale_bps": self.scale_bps,
-            "tau_final": self.tau_final,
         }
 
 
@@ -314,10 +311,12 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
 def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     """Maximize the sum of log rates; returns (Solution, Certificate).
 
-    Raises InfeasibleProblemError when no strictly feasible point exists and
+    The returned certificate carries `check_kkt` of the answer at
+    `duality_gap_tol` and `feasibility_tol`, which it always passes.  Raises
+    InfeasibleProblemError when no strictly feasible point exists and
     ConvergenceError (carrying the best iterate and its gap) on iteration
-    caps, a failed line search, or a final point that `validate` rejects at
-    `feasibility_tol`.  Deterministic for fixed inputs.
+    caps, a failed line search, or a final point that fails that check (then
+    also carrying the failing certificate).  Deterministic for fixed inputs.
     """
     cfg = cfg or SolverConfig()
     n_terms = 2 * problem.n_included
@@ -332,52 +331,37 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     tau = _TAU0
     trace = []
     inner_total = 0
-    converged = False
     for _outer in range(cfg.max_outer_iters):
         x, w, inner = _center(problem, x, tau, cfg, newton, stat_target)
         inner_total += inner
         trace.append(problem.objective_log(x))
         if m_ineq / tau <= gap_target_abs:
-            converged = True
             break
         tau = min(tau * cfg.barrier_increase_factor, tau_needed)
+    else:
+        raise ConvergenceError("outer iteration cap hit", best_x=x,
+                               gap=m_ineq / tau / n_terms)
 
     gap_rel = m_ineq / tau / n_terms
-    if not converged:
-        raise ConvergenceError("outer iteration cap hit", best_x=x, gap=gap_rel)
-
-    report = validate(problem, x, tol=cfg.feasibility_tol)
-    if not report.ok:
-        raise ConvergenceError(
-            f"final point violates the constraints by {report.max_violation:.2e}",
-            best_x=x, gap=gap_rel)
-    lam = 1.0 / (tau * (problem.h - problem.G @ x))
-
     r_ul, r_dl = problem.rates_bps(x)
     solution = Solution(
         x=x, ue_ids=problem.ue_ids.copy(), r_ul_bps=r_ul, r_dl_bps=r_dl,
         gm_bps=problem.gm_bps(x), objective_log=problem.objective_log(x),
-        scale_bps=problem.scale_bps, lam=lam, nu=w, tau_final=tau,
+        scale_bps=problem.scale_bps, lam=1.0 / (tau * (problem.h - problem.G @ x)),
+        nu=w,
     )
+    kkt = check_kkt(problem, solution, tol=cfg.duality_gap_tol,
+                    feas_tol=cfg.feasibility_tol)
     certificate = Certificate(
-        converged=True, gap_rel=gap_rel,
-        max_primal_residual=report.max_violation,
-        objective_trace=trace, outer_iters=len(trace),
+        gap_rel=gap_rel, kkt=kkt, objective_trace=trace, outer_iters=len(trace),
         inner_iters=inner_total, tau_final=tau, n_inequalities=m_ineq,
     )
+    if not kkt.ok:
+        raise ConvergenceError(
+            f"final point fails the KKT check: stationarity {kkt.stationarity:.2e}, "
+            f"primal_ineq {kkt.primal_ineq:.2e}, primal_eq {kkt.primal_eq:.2e}",
+            best_x=x, gap=gap_rel, certificate=certificate)
     return solution, certificate
-
-
-@dataclass
-class KktReport:
-    """Residuals of the KKT system at a candidate primal/dual pair."""
-
-    ok: bool
-    stationarity: float      # relative to the objective gradient scale
-    primal_ineq: float
-    primal_eq: float
-    dual_feas_min: float     # most negative multiplier (>= 0 when clean)
-    comp_gap_rel: float      # lambda' s per log-rate term
 
 
 def check_kkt(problem: RateProblem, solution: Solution,

@@ -34,7 +34,7 @@ def test_every_scenario_certified(default_run):
         ["access_ss", "access_lb", "iab_st", "iab_mesh_ss", "iab_mesh_lb"])
     for name, sol in default_run.items():
         assert sol["kkt_ok"] is True, name
-        assert sol["certificate"]["converged"] is True, name
+        assert sol["certificate"]["kkt"]["ok"] is True, name
 
 
 @pytest.mark.parametrize("small, large", NESTED)

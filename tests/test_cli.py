@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +119,24 @@ def test_gains_csv_roundtrip(tmp_path):
     b = json.loads((tmp_path / "out2" / "solution_access_ss.json").read_text())
     assert b["solution"]["gm_bps"] == pytest.approx(
         a["solution"]["gm_bps"], rel=1e-4)
+
+
+def test_starved_ues_reported_on_stderr(tmp_path, capsys):
+    # two sites and no BS-BS gain: the relay's UE has no route to fiber
+    from iabplan import BudgetConfig
+    from iabplan.testkit import gain_for_capacity
+    budget = BudgetConfig()
+    up = gain_for_capacity(4e9, "ue-bs", budget)
+    down = gain_for_capacity(4e9, "bs-ue", budget)
+    gains_path = tmp_path / "gains.csv"
+    gains_path.write_text("from,to,gain_db\n"
+                          f"2,0,{up}\n0,2,{down}\n3,1,{up}\n1,3,{down}\n")
+    cfg = write_config(tmp_path, n_ues=2, anchor_list=[0], scenarios=["iab_mesh_ss"],
+                       gains_csv=str(gains_path))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert "[iab_mesh_ss] 1 UE(s) starved" in capsys.readouterr().err
+    sol = json.loads((tmp_path / "out" / "solution_iab_mesh_ss.json").read_text())
+    assert sol["excluded_ues"] == {"1": "starved"}
 
 
 class TestSweep:

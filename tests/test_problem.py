@@ -1,5 +1,4 @@
 import hashlib
-import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +19,7 @@ def grid_problems(rows, cols, n_ues, seed, k):
     anchors = select_anchors(topo, k, "greedy-coverage", links=links, seed=seed)
     for variant in Variant:
         pattern = make_scenario(variant, links, anchors, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            yield variant.value, assemble(links, pattern, anchors)
+        yield variant.value, assemble(links, pattern, anchors)
 
 
 # sha256 of the `RateProblem.dump` text and of the start point's bytes, per
@@ -70,15 +67,15 @@ class TestAssemble:
         with pytest.raises(ConfigError):
             AnchorSet(np.zeros(3, dtype=bool))
 
-    def test_starved_ue_excluded_with_warning(self):
+    def test_only_starved_ue_named_in_error(self):
         # UE attached to a relay that has no backhaul at all (access-only
         # pattern built over every site, not just the anchors)
         links = links_from_caps([[0.0, 4e9]], [[0.0], [4e9]], np.zeros((2, 2)))
         anchors = AnchorSet(np.array([True, False]))
         pattern = make_scenario(Variant.IAB_MESH_SS, links, anchors, seed=0)
-        with pytest.warns(UserWarning, match="starved"):
-            with pytest.raises(InfeasibleProblemError, match="no servable"):
-                assemble(links, pattern, anchors)
+        with pytest.raises(InfeasibleProblemError,
+                           match="no servable UEs: 1 of 1 starved"):
+            assemble(links, pattern, anchors)
 
     def test_starved_ue_reason_recorded(self):
         # two UEs: one on the anchor, one stranded on the relay
@@ -86,8 +83,7 @@ class TestAssemble:
                                 [[4e9, 0.0], [0.0, 4e9]], np.zeros((2, 2)))
         anchors = AnchorSet(np.array([True, False]))
         pattern = make_scenario(Variant.IAB_MESH_SS, links, anchors, seed=0)
-        with pytest.warns(UserWarning):
-            prob = assemble(links, pattern, anchors)
+        prob = assemble(links, pattern, anchors)
         assert prob.excluded == {1: "starved"}
         assert prob.ue_ids.tolist() == [0]
 

@@ -1,5 +1,4 @@
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +17,8 @@ GAP = SolverConfig().duality_gap_tol
 def solve_checked(prob, cfg=None):
     """Solve and assert the certificate holds (acceptance criterion 3)."""
     sol, cert = solve(prob, cfg)
-    assert cert.converged
+    assert cert.kkt.ok, f"certificate failed: {cert.kkt}"
     assert cert.gap_rel <= (cfg or SolverConfig()).duality_gap_tol
-    assert cert.max_primal_residual <= 1e-9
     kkt = check_kkt(prob, sol)
     assert kkt.ok, f"KKT failed: {kkt}"
     return sol, cert
@@ -89,7 +87,7 @@ class TestInvariants:
                 np.asarray(base["cap_bb"]) * factor, cfg)
             anchors = AnchorSet(np.array([True, False]))
             pattern = make_scenario(Variant.IAB_ST, links, anchors, seed=0)
-            sol, _ = solve_checked(assemble(links, pattern, anchors, cfg))
+            sol, _ = solve_checked(assemble(links, pattern, anchors))
             gms.append(sol.gm_bps)
         assert gms[1] == pytest.approx(k * gms[0], rel=1e-6)
 
@@ -151,6 +149,7 @@ class TestFailureModes:
             solve(prob, SolverConfig(feasibility_tol=1e-30))
         assert err.value.best_x is not None
         assert err.value.gap <= SolverConfig().duality_gap_tol
+        assert err.value.certificate.kkt.ok is False
 
 
 def grid_problem(rows, cols, n_ues, seed, k, scenario):
@@ -159,9 +158,7 @@ def grid_problem(rows, cols, n_ues, seed, k, scenario):
     links = build_link_table(synthetic_gains(topo))
     anchors = select_anchors(topo, k, "greedy-coverage", links=links, seed=seed)
     pattern = make_scenario(scenario, links, anchors, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # starved UEs are expected here
-        return assemble(links, pattern, anchors)
+    return assemble(links, pattern, anchors)
 
 
 class TestCertifiedOnGrids:
