@@ -78,6 +78,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     for key in ("gains_csv", "topology_file"):
         if cfg[key] is not None and not Path(cfg[key]).exists():
             raise ConfigError(f"{key} does not exist: {cfg[key]}")
+    # both reject bad values here, before any command writes output
+    _budget_from(cfg)
+    _solver_from(cfg)
     return cfg
 
 

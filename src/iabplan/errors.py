@@ -22,12 +22,13 @@ class InfeasibleProblemError(IabPlanError):
 
 
 class ConvergenceError(IabPlanError):
-    """Solver hit an iteration cap. Carries the best iterate found so far."""
+    """Solver stopped without a certified answer: an iteration cap, a failed
+    line search, or a final point that fails its KKT check.  Carries the last
+    iterate and its certificate, whose `kkt` report says what fails."""
 
-    def __init__(self, message, best_x=None, gap=None, certificate=None):
+    def __init__(self, message, best_x=None, certificate=None):
         super().__init__(message)
         self.best_x = best_x
-        self.gap = gap
         self.certificate = certificate
 
 

@@ -102,7 +102,11 @@ class Topology:
     @classmethod
     def from_json(cls, path) -> "Topology":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: invalid topology JSON ({exc})") from exc
+        return cls.from_dict(data)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ MIN_DISTANCE_M = 1.0   # coincident nodes are clamped to 1 m
 class BudgetConfig:
     """Link-budget parameters.  Defaults give a 28 GHz, 1 GHz-wide deployment."""
 
-    tx_power_dbm: float = 30.0        # BS and UE PA output
+    tx_power_dbm: float = 30.0        # UE PA output (uplink only)
     bs_array_gain_db: float = 21.0    # 16x8 planar array
-    bs_eirp_dbm: float = 51.0         # tx_power + array gain
+    bs_eirp_dbm: float = 51.0         # every BS transmission; 30 dBm PA + 21 dB array
     bandwidth_hz: float = 1e9
     carrier_hz: float = 28e9
     atmospheric_db_per_km: float = 0.11

@@ -25,6 +25,7 @@ deterministic: no randomized steps, single-threaded sparse factorizations.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .connectivity import walks
-from .errors import ConvergenceError, InfeasibleProblemError
+from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
 from .problem import RateProblem, validate
 
 _TAU0 = 1.0
+_BARRIER_INCREASE = 10.0   # tau multiplier per outer iteration
+_NEWTON_TOL = 1e-10        # half squared Newton decrement
 _ARMIJO = 0.25
 _STEP_SHRINK = 0.5
 _BOUNDARY_BACKOFF = 0.99
@@ -45,16 +48,16 @@ _BOUNDARY_BACKOFF = 0.99
 class SolverConfig:
     feasibility_tol: float = 1e-9      # relative primal residual accepted
     duality_gap_tol: float = 1e-6      # relative GM suboptimality bound
-    barrier_increase_factor: float = 10.0
-    newton_tol: float = 1e-10          # half squared Newton decrement
-    max_outer_iters: int = 60
-    max_inner_iters: int = 100
+    max_inner_iters: int = 100         # Newton steps per centering
 
     def __post_init__(self):
-        if min(self.feasibility_tol, self.duality_gap_tol, self.newton_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.barrier_increase_factor <= 1:
-            raise ValueError("barrier increase factor must exceed 1")
+        for name in ("feasibility_tol", "duality_gap_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        value = self.max_inner_iters
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ConfigError(f"max_inner_iters must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -71,11 +74,12 @@ class KktReport:
 
 @dataclass
 class Certificate:
-    """Optimality evidence attached to a solve."""
+    """Optimality evidence for a solve's last iterate, returned with the
+    answer or carried by the ConvergenceError of a failed solve."""
 
-    gap_rel: float                 # duality gap bound per log-rate term
+    gap_rel: float                 # duality gap bound per log-rate term at tau_final
     kkt: KktReport                 # check_kkt at the solve's tolerances
-    objective_trace: list          # sum of log rates after each outer iteration
+    objective_trace: list          # sum of log rates after each centering
     outer_iters: int
     inner_iters: int
     tau_final: float
@@ -233,14 +237,19 @@ class _NewtonSystem:
         return self.T @ sol[:n], sol[self.n_diag:]
 
 
-def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
+def _center(problem: RateProblem, x: np.ndarray, tau: float, max_iters: int,
             newton: _NewtonSystem, stat_target: float):
-    """Newton iterations for one barrier subproblem; returns (x, w, iters).
+    """Newton iterations for one barrier subproblem from the interior point x.
+
+    Returns (x, w, iters, failure): the last accepted iterate, the
+    conservation multipliers of the last step, the number of steps taken,
+    and None or the reason centering stopped short (iteration cap, failed
+    line search).
 
     Minimizes psi = F + phi/tau (the 1/tau scaling keeps values and
     gradients at the scale of F for any tau, so line-search comparisons
     stay above floating-point noise).  Stops once the Newton decrement is
-    below `newton_tol` AND the KKT stationarity residual for the restored
+    below `_NEWTON_TOL` AND the KKT stationarity residual for the restored
     duals (lambda = 1/(tau s), nu = w) is below `stat_target`; a few extra
     polish steps are allowed for the latter, since the decrement bounds the
     residual only loosely through the Hessian conditioning.
@@ -257,11 +266,8 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
 
     s = h - G @ x
     r = U @ x
-    if np.any(s <= 0) or np.any(r <= 0):
-        raise InfeasibleProblemError("starting point is not strictly feasible")
-
     polish = 0
-    for it in range(cfg.max_inner_iters):
+    for it in range(max_iters):
         inv_s = 1.0 / s
         inv_r = 1.0 / r
         grad_f = -(U.T @ inv_r)
@@ -271,11 +277,11 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
         u_dx = U @ dx
         decrement = float(np.sum((u_dx * inv_r) ** 2)
                           + np.sum((g_dx * inv_s) ** 2) / tau)
-        if decrement / 2.0 <= cfg.newton_tol:
+        if decrement / 2.0 <= _NEWTON_TOL:
             grad_scale = max(1.0, float(np.abs(grad_f).max()))
             stat = float(np.abs(grad + A.T @ w).max()) / grad_scale
             if stat <= stat_target or polish >= 8:
-                return x, w, it
+                return x, w, it, None
             polish += 1
         # ratio test keeps the step strictly inside the domain
         alpha = 1.0
@@ -297,26 +303,29 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, cfg: SolverConfig,
                     break
             alpha *= _STEP_SHRINK
         if not accepted:
-            if decrement / 2.0 <= cfg.newton_tol:
-                return x, w, it   # polish stalled at machine precision
-            raise ConvergenceError("line search failed", best_x=x,
-                                   gap=G.shape[0] / tau)
+            if decrement / 2.0 <= _NEWTON_TOL:
+                return x, w, it, None   # polish stalled at machine precision
+            return x, w, it, "line search failed"
         x = x + alpha * dx
         s = h - G @ x
         r = U @ x
-    raise ConvergenceError("inner Newton iteration cap hit", best_x=x,
-                           gap=G.shape[0] / tau)
+    return x, w, max_iters, "inner Newton iteration cap hit"
 
 
 def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     """Maximize the sum of log rates; returns (Solution, Certificate).
 
-    The returned certificate carries `check_kkt` of the answer at
-    `duality_gap_tol` and `feasibility_tol`, which it always passes.  Raises
-    InfeasibleProblemError when no strictly feasible point exists and
-    ConvergenceError (carrying the best iterate and its gap) on iteration
-    caps, a failed line search, or a final point that fails that check (then
-    also carrying the failing certificate).  Deterministic for fixed inputs.
+    tau runs 1, 10, 100, ... up to `tau_needed`, where the gap bound m/tau
+    per log-rate term is below `duality_gap_tol`; each value is one
+    centering of at most `max_inner_iters` Newton steps.  The certificate
+    carries `check_kkt` of the answer at `duality_gap_tol` and
+    `feasibility_tol`, which it always passes on return.  Raises
+    InfeasibleProblemError when no strictly feasible point exists, and
+    ConvergenceError when a centering hits its cap or its line search
+    fails, or when the final point fails that check.  The error carries
+    the last iterate and its certificate, with the gap bound at the tau
+    being centered and the KKT report saying what fails.  Deterministic
+    for fixed inputs.
     """
     cfg = cfg or SolverConfig()
     n_terms = 2 * problem.n_included
@@ -325,24 +334,23 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
 
     newton = _NewtonSystem(problem)
     x = strictly_feasible_point(problem)
+    if np.any(problem.h - problem.G @ x <= 0) or np.any(problem.U_mat @ x <= 0):
+        raise InfeasibleProblemError("starting point is not strictly feasible")
     stat_target = 0.25 * cfg.duality_gap_tol
     # 5% overshoot keeps the final reported gap strictly below the tolerance
     tau_needed = 1.05 * m_ineq / gap_target_abs
     tau = _TAU0
     trace = []
     inner_total = 0
-    for _outer in range(cfg.max_outer_iters):
-        x, w, inner = _center(problem, x, tau, cfg, newton, stat_target)
+    while True:
+        x, w, inner, failure = _center(problem, x, tau, cfg.max_inner_iters,
+                                       newton, stat_target)
         inner_total += inner
         trace.append(problem.objective_log(x))
-        if m_ineq / tau <= gap_target_abs:
+        if failure or m_ineq / tau <= gap_target_abs:
             break
-        tau = min(tau * cfg.barrier_increase_factor, tau_needed)
-    else:
-        raise ConvergenceError("outer iteration cap hit", best_x=x,
-                               gap=m_ineq / tau / n_terms)
+        tau = min(tau * _BARRIER_INCREASE, tau_needed)
 
-    gap_rel = m_ineq / tau / n_terms
     r_ul, r_dl = problem.rates_bps(x)
     solution = Solution(
         x=x, ue_ids=problem.ue_ids.copy(), r_ul_bps=r_ul, r_dl_bps=r_dl,
@@ -353,14 +361,16 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     kkt = check_kkt(problem, solution, tol=cfg.duality_gap_tol,
                     feas_tol=cfg.feasibility_tol)
     certificate = Certificate(
-        gap_rel=gap_rel, kkt=kkt, objective_trace=trace, outer_iters=len(trace),
-        inner_iters=inner_total, tau_final=tau, n_inequalities=m_ineq,
+        gap_rel=m_ineq / tau / n_terms, kkt=kkt, objective_trace=trace,
+        outer_iters=len(trace), inner_iters=inner_total, tau_final=tau,
+        n_inequalities=m_ineq,
     )
-    if not kkt.ok:
-        raise ConvergenceError(
-            f"final point fails the KKT check: stationarity {kkt.stationarity:.2e}, "
-            f"primal_ineq {kkt.primal_ineq:.2e}, primal_eq {kkt.primal_eq:.2e}",
-            best_x=x, gap=gap_rel, certificate=certificate)
+    if failure is None and not kkt.ok:
+        failure = (f"final point fails the KKT check: stationarity "
+                   f"{kkt.stationarity:.2e}, primal_ineq {kkt.primal_ineq:.2e}, "
+                   f"primal_eq {kkt.primal_eq:.2e}")
+    if failure:
+        raise ConvergenceError(failure, best_x=x, certificate=certificate)
     return solution, certificate
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iabplan import cli
+from iabplan import BudgetConfig, SolverConfig, cli
 from iabplan.cli import main
 
 
@@ -76,6 +79,34 @@ def test_unknown_config_key(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"grid_rowz": 2}))
     assert main(["run", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("key", ["newton_tol", "barrier_increase_factor",
+                                 "max_outer_iters"])
+def test_removed_solver_keys_are_unknown(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, **{key: 10})
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--k-list", "1"], ["verify"]])
+@pytest.mark.parametrize("key, value", [
+    ("duality_gap_tol", 0), ("duality_gap_tol", float("nan")), ("max_inner_iters", 0),
+])
+def test_bad_solver_setting_is_config_error(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert set(cli._ALL_KEYS) <= set(re.findall(r"`(\w+)`", readme))
+    for label, fields in (("Budget fields", dataclasses.fields(BudgetConfig)),
+                          ("Solver fields", dataclasses.fields(SolverConfig))):
+        paragraph = readme.split(f"\n{label}", 1)[1].split("\n\n", 1)[0]
+        assert set(re.findall(r"`([a-z_]\w*)`", paragraph)) == {f.name for f in fields}
 
 
 def test_empty_scenarios_rejected(tmp_path):

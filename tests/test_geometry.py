@@ -62,6 +62,13 @@ def test_topology_json_roundtrip(tmp_path):
     assert np.allclose(back.street_segments, topo.street_segments)
 
 
+def test_malformed_topology_json_is_config_error(tmp_path):
+    path = tmp_path / "topo.json"
+    path.write_text("{not json")
+    with pytest.raises(ConfigError, match="topo.json"):
+        Topology.from_json(path)
+
+
 def test_topology_json_rejects_gapped_ids(tmp_path):
     topo = generate_grid(1, 2, 100.0, 2, seed=0)
     data = json.loads(topo.to_json())

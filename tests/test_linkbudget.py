@@ -73,6 +73,17 @@ class TestLinkSnr:
     def test_absent_gain_stays_absent(self):
         assert link_snr(-np.inf, "bs-ue", CFG) == -np.inf
 
+    def test_tx_power_is_the_ue_transmitter_only(self):
+        # a BS always transmits at bs_eirp_dbm, so only uplink SNRs move
+        gains = synthetic_gains(generate_grid(2, 3, 200.0, 20, seed=0))
+        base = build_link_table(gains, CFG)
+        louder = build_link_table(gains, CFG.replace(tx_power_dbm=40.0))
+        assert np.array_equal(louder.snr_bb, base.snr_bb)
+        assert np.array_equal(louder.snr_bu, base.snr_bu)
+        finite = np.isfinite(base.snr_ub)
+        assert finite.any()
+        assert np.allclose(louder.snr_ub[finite], base.snr_ub[finite] + 10.0)
+
     def test_bad_direction(self):
         with pytest.raises(ConfigError):
             link_snr(-100.0, "ue-ue", CFG)

@@ -1,10 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from iabplan import (AnchorSet, BudgetConfig, ConvergenceError, SolverConfig,
-                     Variant, assemble, build_link_table, check_kkt,
+from iabplan import (AnchorSet, BudgetConfig, ConfigError, ConvergenceError,
+                     SolverConfig, Variant, assemble, build_link_table, check_kkt,
                      generate_grid, make_scenario, select_anchors, solve,
                      strictly_feasible_point, synthetic_gains, validate)
 from iabplan.solver import _NewtonSystem
@@ -133,23 +134,46 @@ class TestCheckKkt:
         assert report.primal_ineq > 1e-9
 
 
+def assert_failure_certificate(err, prob):
+    """A failed solve carries its certificate, with the gap per log-rate
+    term at the tau being centered."""
+    assert not hasattr(err.value, "gap")
+    cert = err.value.certificate
+    assert cert is not None
+    assert cert.gap_rel == cert.n_inequalities / cert.tau_final / (2 * prob.n_included)
+
+
 class TestFailureModes:
     def test_iteration_cap_carries_best_iterate(self):
         prob, _ = analytic_single_instance()
-        cfg = SolverConfig(max_outer_iters=2)
+        cfg = SolverConfig(max_inner_iters=2)
         with pytest.raises(ConvergenceError) as err:
             solve(prob, cfg)
         assert err.value.best_x is not None
-        assert err.value.gap is not None
+        assert err.value.certificate.gap_rel is not None
         assert validate(prob, err.value.best_x, tol=1e-9).ok
+        assert_failure_certificate(err, prob)
 
     def test_uncertified_final_point_is_rejected(self):
         prob, _ = analytic_single_instance()
         with pytest.raises(ConvergenceError) as err:
             solve(prob, SolverConfig(feasibility_tol=1e-30))
         assert err.value.best_x is not None
-        assert err.value.gap <= SolverConfig().duality_gap_tol
+        assert err.value.certificate.gap_rel <= SolverConfig().duality_gap_tol
         assert err.value.certificate.kkt.ok is False
+        assert_failure_certificate(err, prob)
+
+    @pytest.mark.parametrize("kw", [
+        {"feasibility_tol": -1e-9}, {"feasibility_tol": float("inf")},
+        {"duality_gap_tol": "1e-6"}, {"max_inner_iters": 2.5},
+    ])
+    def test_bad_settings_are_config_errors(self, kw):
+        with pytest.raises(ConfigError):
+            SolverConfig(**kw)
+
+    def test_settings_are_the_three_fields(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "feasibility_tol", "duality_gap_tol", "max_inner_iters"]
 
 
 def grid_problem(rows, cols, n_ues, seed, k, scenario):
