@@ -125,13 +125,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_run(cfg: dict) -> int:
+    topo, links, anchors = _build_world(cfg)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     meta = provenance(cfg)
     header = {k: json.dumps(v) if isinstance(v, (list, dict)) else v
               for k, v in meta.items()}
 
-    topo, links, anchors = _build_world(cfg)
     topo.to_json(out / "topology.json")
     links.to_csv(out / "links.csv", header_meta=header)
     _write_json(out / "anchors.json",
@@ -185,12 +185,12 @@ def cmd_run(cfg: dict) -> int:
 def cmd_sweep(cfg: dict, k_list: list[int]) -> int:
     if not k_list:
         raise ConfigError("sweep needs a nonempty k list")
+    topo, links, _ = _build_world(cfg)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     meta = provenance(cfg)
     header = {k: json.dumps(v) if isinstance(v, (list, dict)) else v
               for k, v in meta.items()}
-    topo, links, _ = _build_world(cfg)
     rows = fiber_sweep(topo, links, cfg["scenarios"], k_list, [cfg["seed"]],
                        policy=cfg["anchor_policy"], solver_cfg=_solver_from(cfg))
     sweep_to_csv(rows, out / "sweep.csv", header_meta=header)

@@ -98,6 +98,8 @@ class Topology:
             )
         except KeyError as exc:
             raise ConfigError(f"topology JSON missing field {exc}") from exc
+        except (IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed topology JSON ({exc})") from exc
 
     @classmethod
     def from_json(cls, path) -> "Topology":

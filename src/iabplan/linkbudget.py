@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class BudgetConfig:
     effective_snr_mode: str = "parallel"  # "parallel" | "harmonic-mean"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not (
+                    isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("polarization_loss_db", "alignment_error_db",
                      "implementation_loss_db", "atmospheric_db_per_km",
                      "corner_loss_db"):

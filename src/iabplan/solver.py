@@ -42,6 +42,10 @@ _NEWTON_TOL = 1e-10        # half squared Newton decrement
 _ARMIJO = 0.25
 _STEP_SHRINK = 0.5
 _BOUNDARY_BACKOFF = 0.99
+_REG = 1e-14               # primal-dual regularization of the Newton system
+_REFINE_MAX = 5            # refinement passes per Newton step, at most
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,8 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
 
 
 class _NewtonSystem:
-    """Sparse augmented KKT system of the Newton step, in slack coordinates.
+    """Regularized augmented KKT system of the Newton step, in slack
+    coordinates, factored in one fill-reducing order per solve.
 
     Unknowns dy = (dsigma, dt, dm) with sigma_k = c_k t_k - f_k, so dx = T dy,
     then z for the rate, resource and fiber rows and w for A.  The system
@@ -190,8 +195,15 @@ class _NewtonSystem:
     K holds only per-link 2x2 blocks and diagonals.  Slack coordinates keep a
     tight capacity row's barrier term alone on the sigma diagonal; in (f, t)
     it cancels in the t pivot.  Relies on assemble's row layout: capacity
-    row k is f_k - c_k t_k and nonnegativity row i is -x_i.  See
-    docs/solver_notes.md, "Central path".
+    row k is f_k - c_k t_k and nonnegativity row i is -x_i.
+
+    The factored matrix adds +_REG on the dy diagonal and -_REG on every row
+    diagonal, which makes it quasidefinite: it factors without pivoting
+    under any symmetric order.  So one minimum-degree order of the pattern,
+    taken once here, is folded into the stored pattern, each step factors in
+    that order, and iterative refinement against the unregularized matrix
+    recovers its step.  See docs/solver_notes.md, "Augmented system" to
+    "Refinement".
     """
 
     def __init__(self, problem: RateProblem):
@@ -204,20 +216,35 @@ class _NewtonSystem:
              (np.r_[k, k, nf + k, j], np.r_[k, nf + k, nf + k, j])), shape=(n, n))
         B = sp.vstack([problem.U_mat, problem.G[self.sl_c], problem.A]) @ self.T
         B = B.tocoo()
-        self.n_diag = n + problem.U_mat.shape[0] + self.sl_c.stop - self.sl_c.start
         self.size = n + B.shape[0]
+        self.n_eq = problem.A.shape[0]
+        sign = np.r_[np.ones(n), -np.ones(B.shape[0])]
+        self._reg = _REG * sign
         # value slots: the diagonal in matrix order, then sigma-t, then B
-        diag, st = np.arange(self.n_diag), self.n_diag + k
-        b = self.n_diag + nf + np.arange(B.nnz)
+        diag, st = np.arange(self.size), self.size + k
+        b = self.size + nf + np.arange(B.nnz)
         rows = np.r_[diag, k, nf + k, n + B.row, B.col]
         cols = np.r_[diag, nf + k, k, B.col, n + B.row]
-        order = np.lexsort((rows, cols))
-        self._src = np.r_[diag, st, st, b, b][order]
+        src = np.r_[diag, st, st, b, b]
         self._b = B.data
+        # the order depends on the pattern only; these values are quasidefinite
+        placeholder = sp.csc_matrix(
+            (np.r_[sign, np.full(nf, 0.5), B.data][src], (rows, cols)),
+            shape=(self.size, self.size))
+        perm = spla.splu(placeholder, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                         options={"SymmetricMode": True}).perm_c
+        rows, cols = perm[rows], perm[cols]
+        order = np.lexsort((rows, cols))
+        self._src = src[order]
+        # unknown i sits at row perm[i] of the stored matrix
+        self._dy, self._w = perm[:n], perm[self.size - self.n_eq:]
+        self._reg_perm = np.empty(self.size)
+        self._reg_perm[perm] = self._reg
         self.kkt = sp.csc_matrix(
             (np.zeros(order.size), rows[order],
              np.searchsorted(cols[order], np.arange(self.size + 1))),
             shape=(self.size, self.size))
+        self._abs = self.kkt.copy()            # |kkt|, for the backward error
 
     def solve(self, s: np.ndarray, r: np.ndarray, grad: np.ndarray, tau: float):
         """Newton step (dx, w) at slacks s = h - Gx and rates r = Ux."""
@@ -226,15 +253,50 @@ class _NewtonSystem:
         d = 1.0 / (tau * s[p.row_slices["nonneg"]] ** 2)
         a = 1.0 / (tau * s[p.row_slices["flow_capacity"]] ** 2)
         vals = np.concatenate([a + d[:nf], c * c * d[:nf] + d[nf:2 * nf], d[2 * nf:],
-                               -r ** 2, -tau * s[self.sl_c] ** 2, -c * d[:nf], self._b])
+                               -r ** 2, -tau * s[self.sl_c] ** 2, np.zeros(self.n_eq),
+                               -c * d[:nf], self._b])
+        vals[:self.size] += self._reg
         self.kkt.data[:] = vals[self._src]
-        lu = spla.splu(self.kkt, permc_spec="NATURAL")
-        rhs = np.r_[-(self.T.T @ grad), np.zeros(self.size - n)]
+        lu = spla.splu(self.kkt, permc_spec="NATURAL", diag_pivot_thresh=0)
+        rhs = np.zeros(self.size)
+        rhs[self._dy] = -(self.T.T @ grad)
+        sol = self._refine(lu, rhs)
+        return self.T @ sol[self._dy], sol[self._w]
+
+    def _refine(self, lu, rhs):
+        """Solve the unregularized system kkt - diag(reg) with the regularized
+        factor by iterative refinement.  Stops once the sparse componentwise
+        backward error is at rounding level or fails to halve, or after
+        _REFINE_MAX passes; a pass that does not lower it is discarded."""
+        np.abs(self.kkt.data, out=self._abs.data)
+        row_max = np.maximum.reduceat(self._abs.data, self._abs.indptr[:-1])
+        rhs_abs = np.abs(rhs)
+        noise = 1000 * self.size * _EPS
+
+        def residual(v):
+            res = rhs - self.kkt @ v + self._reg_perm * v
+            v_abs = np.abs(v)
+            scale = self._abs @ v_abs + rhs_abs
+            # a row whose own scale is lost in rounding against the largest
+            # entry of the step dy is measured against that entry (Arioli,
+            # Demmel & Duff; the multipliers have other units)
+            far = row_max * v_abs[self._dy].max()
+            scale = np.where(scale > noise * (far + rhs_abs), scale, scale + far)
+            return res, float(np.max(np.abs(res) / np.maximum(scale, _TINY)))
+
         sol = lu.solve(rhs)
-        # one refinement pass keeps A dx = 0 near machine level despite the
-        # wildly mixed barrier scales in the system
-        sol = sol + lu.solve(rhs - self.kkt @ sol)
-        return self.T @ sol[:n], sol[self.n_diag:]
+        res, err = residual(sol)
+        for _ in range(_REFINE_MAX):
+            if err <= _EPS:
+                break
+            trial = sol + lu.solve(res)
+            res_t, err_t = residual(trial)
+            stalled = err_t > 0.5 * err
+            if err_t < err:
+                sol, res, err = trial, res_t, err_t
+            if stalled:
+                break
+        return sol
 
 
 def _center(problem: RateProblem, x: np.ndarray, tau: float, max_iters: int,

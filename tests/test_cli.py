@@ -100,6 +100,34 @@ def test_bad_solver_setting_is_config_error(tmp_path, capsys, command, key, valu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--k-list", "1"], ["verify"]])
+@pytest.mark.parametrize("key, value", [
+    ("bandwidth_hz", "1e9"), ("snr_cap_db", None), ("fiber_capacity_bps", [200e9]),
+])
+def test_bad_budget_value_is_config_error(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--k-list", "1"]])
+@pytest.mark.parametrize("topology", [
+    [1, 2],
+    {"bs_sites": [[0, 1.0]], "ues": [], "grid_rows": 1, "grid_cols": 1,
+     "block_size_m": 100.0, "street_width_m": 20.0, "street_segments": []},
+    {"bs_sites": [[0, "x", 0.0]], "ues": [], "grid_rows": 1, "grid_cols": 1,
+     "block_size_m": 100.0, "street_width_m": 20.0, "street_segments": []},
+])
+def test_malformed_topology_file_is_config_error(tmp_path, capsys, command, topology):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps(topology))
+    cfg = write_config(tmp_path, topology_file=str(topo))
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed topology JSON")
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_names_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert set(cli._ALL_KEYS) <= set(re.findall(r"`(\w+)`", readme))

@@ -1,15 +1,19 @@
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iabplan import (AnchorSet, MetricsError, RateReport, Variant, assemble,
-                     build_link_table, compare_table, fiber_sweep, generate_grid,
-                     hop_counts, make_report, make_scenario, rate_cdf,
-                     select_anchors, solve, sweep_summary, synthetic_gains)
+from iabplan import (AnchorSet, MetricsError, RateReport, Solution, SolverConfig,
+                     Variant, assemble, build_link_table, compare_table,
+                     fiber_sweep, generate_grid, hop_counts, make_report,
+                     make_scenario, rate_cdf, select_anchors, solve,
+                     sweep_summary, synthetic_gains)
 from iabplan.metrics import sweep_to_csv, top_decile_mean
 from iabplan.testkit import analytic_chain_instance, links_from_caps
+
+RECORDED_X = Path(__file__).parent / "data" / "grid_3x6_60ue_x.npz"
 
 
 def small_report(rates_mbps, scenario="access_ss", excluded=0):
@@ -128,18 +132,47 @@ class TestHopCounts:
                         "dfc4b2d4a01ef4e676a19cf010d91769eacd2ca27a58c272dc25e2a4f1168f01"),
     }
 
-    @pytest.mark.parametrize("variant", sorted(GOLDEN))
-    def test_golden_on_grid(self, variant):
+    @staticmethod
+    def grid(variant):
         topo = generate_grid(3, 6, 200.0, 60, 1)
         links = build_link_table(synthetic_gains(topo))
         anchors = select_anchors(topo, 7, "greedy-coverage", links=links, seed=1)
         pattern = make_scenario(variant, links, anchors, seed=1)
-        prob = assemble(links, pattern, anchors)
-        sol, _ = solve(prob)
-        hr = hop_counts(prob, sol, anchors)
+        return assemble(links, pattern, anchors), anchors
+
+    @staticmethod
+    def recorded(prob, variant):
+        """The solution `solve` returned on `grid(variant)` with the
+        unregularized Newton system (commit 81c29b3).  The digests hash the
+        last bits of x, so they are checked on this fixed x, not on a fresh
+        solve."""
+        x = np.load(RECORDED_X)[variant]
+        r_ul, r_dl = prob.rates_bps(x)
+        return Solution(x=x, ue_ids=prob.ue_ids, r_ul_bps=r_ul, r_dl_bps=r_dl,
+                        gm_bps=prob.gm_bps(x), objective_log=prob.objective_log(x),
+                        scale_bps=prob.scale_bps, lam=np.zeros(0), nu=np.zeros(0))
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_golden_on_grid(self, variant):
+        prob, anchors = self.grid(variant)
+        hr = hop_counts(prob, self.recorded(prob, variant), anchors)
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in
                         (hr.hops, hr.peeled_bps, np.float64(hr.residual_rel)))
         assert digests == self.GOLDEN[variant]
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_solve_matches_recorded_solution(self, variant):
+        # a fresh solve reaches the recorded answer to the solver's own
+        # relative tolerance (about 1e-9 in x and 1e-11 in GM when recorded)
+        tol = SolverConfig().duality_gap_tol
+        prob, anchors = self.grid(variant)
+        ref = self.recorded(prob, variant)
+        sol, _ = solve(prob)
+        assert np.abs(sol.x - ref.x).max() <= tol * np.abs(ref.x).max()
+        assert sol.gm_bps == pytest.approx(ref.gm_bps, rel=tol)
+        hr, hr_ref = hop_counts(prob, sol, anchors), hop_counts(prob, ref, anchors)
+        np.testing.assert_allclose(hr.hops, hr_ref.hops, rtol=0, atol=tol)
+        np.testing.assert_allclose(hr.peeled_bps, hr_ref.peeled_bps, rtol=tol)
 
     def test_cdf_points(self):
         hops = np.array([0.0, 0.0, 1.0, 2.0])

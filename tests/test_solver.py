@@ -1,8 +1,12 @@
 import dataclasses
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from iabplan import (AnchorSet, BudgetConfig, ConfigError, ConvergenceError,
                      SolverConfig, Variant, assemble, build_link_table, check_kkt,
@@ -155,7 +159,9 @@ class TestFailureModes:
         assert_failure_certificate(err, prob)
 
     def test_uncertified_final_point_is_rejected(self):
-        prob, _ = analytic_single_instance()
+        # the final conservation residual here is rounding-sized but nonzero
+        # (about 2e-16), so a 1e-30 feasibility tolerance must reject it
+        prob = grid_problem(2, 3, 30, 5, 2, "iab_st")
         with pytest.raises(ConvergenceError) as err:
             solve(prob, SolverConfig(feasibility_tol=1e-30))
         assert err.value.best_x is not None
@@ -221,3 +227,78 @@ class TestNewtonStep:
         n = prob.n_var
         assert np.linalg.norm(dx - ref[:n]) <= 1e-8 * np.linalg.norm(ref[:n])
         assert np.linalg.norm(w - ref[n:]) <= 1e-8 * np.linalg.norm(ref[n:])
+
+
+def newton_inputs(prob, tau):
+    """Slacks, rates and barrier gradient at the start point."""
+    x = strictly_feasible_point(prob)
+    s, r = prob.h - prob.G @ x, prob.U_mat @ x
+    grad = -(prob.U_mat.T @ (1.0 / r)) + prob.G.T @ (1.0 / (tau * s))
+    return s, r, grad
+
+
+def slack_system(prob, s, r, tau):
+    """The unregularized augmented system in slack coordinates, built from
+    G, U and A: unknowns (dy, z_U, z_c, w) with dx = T dy, f = c t - sigma."""
+    nf, n, rs = prob.n_flow, prob.n_var, prob.row_slices
+    k = np.arange(nf)
+    T = sp.identity(n, format="lil")
+    T[k, k] = -1.0
+    T[k, nf + k] = prob.cap
+    T = T.tocsr()
+    barrier = np.r_[np.arange(rs["flow_capacity"].start, rs["flow_capacity"].stop),
+                    np.arange(rs["nonneg"].start, rs["nonneg"].stop)]
+    Gb = prob.G[barrier] @ T
+    K = Gb.T @ sp.diags(1.0 / (tau * s[barrier] ** 2)) @ Gb
+    sl_c = slice(rs["resource"].start, rs["fiber"].stop)
+    B = sp.vstack([prob.U_mat, prob.G[sl_c], prob.A]) @ T
+    D = sp.diags(np.r_[r ** 2, tau * s[sl_c] ** 2, np.zeros(prob.A.shape[0])])
+    return sp.bmat([[K, B.T], [B, -D]]).tocsr(), T, sl_c
+
+
+class TestRegularizedNewtonSystem:
+    def test_fill_and_one_ordering_per_solve(self, monkeypatch):
+        nnz = []
+
+        def splu(*args, **kwargs):
+            lu = original(*args, **kwargs)
+            nnz.append(lu.nnz)
+            return lu
+
+        original = spla.splu
+        monkeypatch.setattr(spla, "splu", splu)
+        _, cert = solve_checked(grid_problem(3, 6, 60, 1, 7, "iab_mesh_lb"))
+        assert max(nnz) <= 40_000     # 121k with natural order and pivoting
+        assert len(nnz) == cert.inner_iters + cert.outer_iters + 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    @pytest.mark.parametrize("tau", [1.0, 1e3, 1e6, 1e9])
+    def test_step_solves_unregularized_system(self, seed, tau):
+        # componentwise (Oettli-Prager) backward error of the returned step
+        # in the unregularized system: rounding level, where the regularized
+        # factor's solution alone is off by 1e-12 to 1e-8
+        prob = random_tiny_instance(seed)
+        s, r, grad = newton_inputs(prob, tau)
+        dx, w = _NewtonSystem(prob).solve(s, r, grad, tau)
+
+        K, T, sl_c = slack_system(prob, s, r, tau)
+        nf = prob.n_flow
+        sol = np.r_[prob.cap * dx[nf:2 * nf] - dx[:nf], dx[nf:],
+                    (prob.U_mat @ dx) / r ** 2,
+                    (prob.G[sl_c] @ dx) / (tau * s[sl_c] ** 2), w]
+        rhs = np.r_[-(T.T @ grad), np.zeros(K.shape[0] - prob.n_var)]
+        error = np.abs(K @ sol - rhs) / (abs(K) @ np.abs(sol) + np.abs(rhs))
+        assert error.max() <= 10 * np.finfo(float).eps
+
+    def test_released_without_garbage_collection(self):
+        prob = random_tiny_instance(0)
+        s, r, grad = newton_inputs(prob, 1.0)
+        gc.disable()
+        try:
+            newton = _NewtonSystem(prob)
+            newton.solve(s, r, grad, 1.0)
+            ref = weakref.ref(newton)
+            del newton
+            assert ref() is None
+        finally:
+            gc.enable()
