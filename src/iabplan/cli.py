@@ -12,6 +12,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -78,6 +80,17 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     for key in ("gains_csv", "topology_file"):
         if cfg[key] is not None and not Path(cfg[key]).exists():
             raise ConfigError(f"{key} does not exist: {cfg[key]}")
+    for key in ("grid_rows", "grid_cols", "n_ues", "anchor_k", "seed"):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], numbers.Integral):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    for key in ("inter_site_m", "street_width_m"):
+        value = cfg[key]
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                           and math.isfinite(value)):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if not isinstance(cfg["dump_iterations"], bool):
+        raise ConfigError(f"dump_iterations must be true or false, "
+                          f"got {cfg['dump_iterations']!r}")
     # both reject bad values here, before any command writes output
     _budget_from(cfg)
     _solver_from(cfg)
@@ -185,6 +198,8 @@ def cmd_run(cfg: dict) -> int:
 def cmd_sweep(cfg: dict, k_list: list[int]) -> int:
     if not k_list:
         raise ConfigError("sweep needs a nonempty k list")
+    if cfg["anchor_policy"] == "manual-list":
+        raise ConfigError("anchor_policy manual-list fixes the anchors; a sweep varies k")
     topo, links, _ = _build_world(cfg)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)

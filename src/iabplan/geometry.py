@@ -181,6 +181,8 @@ def generate_grid(rows: int, cols: int, inter_site_m: float, n_ues: int,
 
 
 def _validate_manual(manual, n_bs: int) -> np.ndarray:
+    if manual is None:
+        raise ConfigError("anchor policy manual-list needs an anchor_list")
     ids = list(manual)
     if not ids:
         raise ConfigError("manual anchor list is empty")

@@ -203,8 +203,7 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     m_vars += [(int(i), "U") for i in np.flatnonzero(y & ul_sourceable)]
 
     ul_access = np.argwhere(ul_ok)            # (ue, bs)
-    dl_access = np.argwhere(dl_ok)[:, ::-1].copy()  # stored as (bs, ue)
-    dl_access = dl_access[np.lexsort((dl_access[:, 1], dl_access[:, 0]))]
+    dl_access = np.argwhere(dl_ok.T)          # (bs, ue)
     ul_backhaul = np.argwhere(bh_ul)
     dl_backhaul = np.argwhere(bh_dl)
     na, nd = ul_access.shape[0], dl_access.shape[0]

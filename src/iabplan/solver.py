@@ -43,9 +43,7 @@ _ARMIJO = 0.25
 _STEP_SHRINK = 0.5
 _BOUNDARY_BACKOFF = 0.99
 _REG = 1e-14               # primal-dual regularization of the Newton system
-_REFINE_MAX = 5            # refinement passes per Newton step, at most
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+_REFINE_PASSES = 3         # refinement passes per Newton step
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,6 @@ class _NewtonSystem:
             (np.zeros(order.size), rows[order],
              np.searchsorted(cols[order], np.arange(self.size + 1))),
             shape=(self.size, self.size))
-        self._abs = self.kkt.copy()            # |kkt|, for the backward error
 
     def solve(self, s: np.ndarray, r: np.ndarray, grad: np.ndarray, tau: float):
         """Newton step (dx, w) at slacks s = h - Gx and rates r = Ux."""
@@ -265,37 +262,10 @@ class _NewtonSystem:
 
     def _refine(self, lu, rhs):
         """Solve the unregularized system kkt - diag(reg) with the regularized
-        factor by iterative refinement.  Stops once the sparse componentwise
-        backward error is at rounding level or fails to halve, or after
-        _REFINE_MAX passes; a pass that does not lower it is discarded."""
-        np.abs(self.kkt.data, out=self._abs.data)
-        row_max = np.maximum.reduceat(self._abs.data, self._abs.indptr[:-1])
-        rhs_abs = np.abs(rhs)
-        noise = 1000 * self.size * _EPS
-
-        def residual(v):
-            res = rhs - self.kkt @ v + self._reg_perm * v
-            v_abs = np.abs(v)
-            scale = self._abs @ v_abs + rhs_abs
-            # a row whose own scale is lost in rounding against the largest
-            # entry of the step dy is measured against that entry (Arioli,
-            # Demmel & Duff; the multipliers have other units)
-            far = row_max * v_abs[self._dy].max()
-            scale = np.where(scale > noise * (far + rhs_abs), scale, scale + far)
-            return res, float(np.max(np.abs(res) / np.maximum(scale, _TINY)))
-
+        factor by _REFINE_PASSES passes of iterative refinement."""
         sol = lu.solve(rhs)
-        res, err = residual(sol)
-        for _ in range(_REFINE_MAX):
-            if err <= _EPS:
-                break
-            trial = sol + lu.solve(res)
-            res_t, err_t = residual(trial)
-            stalled = err_t > 0.5 * err
-            if err_t < err:
-                sol, res, err = trial, res_t, err_t
-            if stalled:
-                break
+        for _ in range(_REFINE_PASSES):
+            sol += lu.solve(rhs - self.kkt @ sol + self._reg_perm * sol)
         return sol
 
 

@@ -103,6 +103,9 @@ def test_bad_solver_setting_is_config_error(tmp_path, capsys, command, key, valu
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--k-list", "1"], ["verify"]])
 @pytest.mark.parametrize("key, value", [
     ("bandwidth_hz", "1e9"), ("snr_cap_db", None), ("fiber_capacity_bps", [200e9]),
+    ("grid_rows", 2.5), ("grid_cols", None), ("n_ues", 30.5), ("anchor_k", "7"),
+    ("anchor_k", True), ("seed", "1"), ("inter_site_m", "200"),
+    ("street_width_m", float("inf")), ("dump_iterations", "yes"),
 ])
 def test_bad_budget_value_is_config_error(tmp_path, capsys, command, key, value):
     cfg = write_config(tmp_path, **{key: value})
@@ -198,7 +201,20 @@ def test_starved_ues_reported_on_stderr(tmp_path, capsys):
     assert sol["excluded_ues"] == {"1": "starved"}
 
 
+def test_manual_list_without_list_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, anchor_policy="manual-list")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "anchor_list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
+    def test_manual_list_policy_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, anchor_policy="manual-list", anchor_list=[0])
+        assert main(["sweep", "--config", str(cfg), "--k-list", "1,2"]) == 1
+        assert capsys.readouterr().err.startswith("error: anchor_policy manual-list")
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path, scenarios=["access_ss", "iab_mesh_ss"])
         assert main(["sweep", "--config", str(cfg), "--k-list", "1,2"]) == 0

@@ -203,6 +203,7 @@ class TestCertifiedOnGrids:
         (2, 3, 30, 2, 5, "access_ss"),
         (2, 3, 30, 5, 2, "iab_st"),
         (2, 4, 40, 5, 1, "iab_mesh_ss"),
+        (3, 6, 600, 3, 7, "iab_mesh_lb"),
     ])
     def test_kkt_certified(self, rows, cols, n_ues, seed, k, scenario):
         solve_checked(grid_problem(rows, cols, n_ues, seed, k, scenario))
