@@ -97,11 +97,14 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def provenance(cfg: dict) -> dict:
-    """Resolved config for artifact headers (output location excluded)."""
-    out = {k: cfg[k] for k in sorted(cfg) if k not in ("output_dir",)}
-    out["iabplan_version"] = __version__
-    return out
+def provenance(cfg: dict) -> tuple[dict, dict]:
+    """Resolved config for artifact headers (output location excluded): the
+    JSON payload, and the CSV header fields with lists and dicts in JSON."""
+    meta = {k: cfg[k] for k in sorted(cfg) if k not in ("output_dir",)}
+    meta["iabplan_version"] = __version__
+    header = {k: json.dumps(v) if isinstance(v, (list, dict)) else v
+              for k, v in meta.items()}
+    return meta, header
 
 
 def _budget_from(cfg: dict) -> BudgetConfig:
@@ -112,7 +115,7 @@ def _solver_from(cfg: dict) -> SolverConfig:
     return SolverConfig(**{k: cfg[k] for k in _SOLVER_KEYS})
 
 
-def _build_world(cfg: dict):
+def _build_links(cfg: dict):
     budget = _budget_from(cfg)
     if cfg["topology_file"]:
         topo = Topology.from_json(cfg["topology_file"])
@@ -124,13 +127,7 @@ def _build_world(cfg: dict):
         gains = load_gains_csv(cfg["gains_csv"], topo.n_bs, topo.n_ue)
     else:
         gains = synthetic_gains(topo, budget)
-    links = build_link_table(gains, budget)
-    if cfg["anchor_list"] is not None:
-        anchors = select_anchors(topo, policy="manual-list", manual=cfg["anchor_list"])
-    else:
-        anchors = select_anchors(topo, cfg["anchor_k"], cfg["anchor_policy"],
-                                 links=links, seed=cfg["seed"])
-    return topo, links, anchors
+    return topo, build_link_table(gains, budget)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -138,12 +135,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_run(cfg: dict) -> int:
-    topo, links, anchors = _build_world(cfg)
+    topo, links = _build_links(cfg)
+    if cfg["anchor_list"] is not None:
+        anchors = select_anchors(topo, policy="manual-list", manual=cfg["anchor_list"])
+    else:
+        anchors = select_anchors(topo, cfg["anchor_k"], cfg["anchor_policy"],
+                                 links=links, seed=cfg["seed"])
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    meta = provenance(cfg)
-    header = {k: json.dumps(v) if isinstance(v, (list, dict)) else v
-              for k, v in meta.items()}
+    meta, header = provenance(cfg)
 
     topo.to_json(out / "topology.json")
     links.to_csv(out / "links.csv", header_meta=header)
@@ -200,12 +200,12 @@ def cmd_sweep(cfg: dict, k_list: list[int]) -> int:
         raise ConfigError("sweep needs a nonempty k list")
     if cfg["anchor_policy"] == "manual-list":
         raise ConfigError("anchor_policy manual-list fixes the anchors; a sweep varies k")
-    topo, links, _ = _build_world(cfg)
+    if cfg["anchor_list"] is not None:
+        raise ConfigError("anchor_list fixes the anchors; a sweep varies k")
+    topo, links = _build_links(cfg)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    meta = provenance(cfg)
-    header = {k: json.dumps(v) if isinstance(v, (list, dict)) else v
-              for k, v in meta.items()}
+    _, header = provenance(cfg)
     rows = fiber_sweep(topo, links, cfg["scenarios"], k_list, [cfg["seed"]],
                        policy=cfg["anchor_policy"], solver_cfg=_solver_from(cfg))
     sweep_to_csv(rows, out / "sweep.csv", header_meta=header)

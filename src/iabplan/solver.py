@@ -11,8 +11,10 @@ with damped Newton steps.  Each step solves, in augmented form, the system
     [ H   A' ] [dx]   [-grad]          H  = tau * H_F + G' diag(1/s^2) G
     [ A   0  ] [ w] = [  0  ]          s  = h - G x  (slacks, kept > 0)
 
-so every iterate satisfies the conservation equalities exactly.  On the
-central path the multipliers lambda_k = 1/(tau * s_k) are dual feasible and
+so every iterate satisfies the conservation equalities exactly.  Slacks
+and rates are carried with the steps, not recomputed from x.  A centering
+ends with a full Newton step, whose multipliers lambda_k = (1 + g_k'dx /
+s_k) / (tau * s_k) and w certify the new point: they are dual feasible and
 give the duality gap bound m/tau (m = number of inequality rows), which we
 drive below `duality_gap_tol` per log-rate term; that bounds the relative
 suboptimality of the reported geometric mean.  See docs/solver_notes.md for
@@ -269,52 +271,44 @@ class _NewtonSystem:
         return sol
 
 
-def _center(problem: RateProblem, x: np.ndarray, tau: float, max_iters: int,
-            newton: _NewtonSystem, stat_target: float):
-    """Newton iterations for one barrier subproblem from the interior point x.
+def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
+            tau: float, max_iters: int, newton: _NewtonSystem):
+    """Newton iterations for one barrier subproblem from the interior point x
+    with slacks s = h - Gx and rates r = Ux.
 
-    Returns (x, w, iters, failure): the last accepted iterate, the
-    conservation multipliers of the last step, the number of steps taken,
-    and None or the reason centering stopped short (iteration cap, failed
-    line search).
+    Returns (x, s, r, lam, w, iters, failure): the last iterate with its
+    carried slacks and rates, the inequality and conservation multipliers,
+    the number of damped steps taken, and None or the reason centering
+    stopped short (iteration cap, failed line search).
 
     Minimizes psi = F + phi/tau (the 1/tau scaling keeps values and
     gradients at the scale of F for any tau, so line-search comparisons
     stay above floating-point noise).  Stops once the Newton decrement is
-    below `_NEWTON_TOL` AND the KKT stationarity residual for the restored
-    duals (lambda = 1/(tau s), nu = w) is below `stat_target`; a few extra
-    polish steps are allowed for the latter, since the decrement bounds the
-    residual only loosely through the Hessian conditioning.
-
-    Inside the quadratic region (tau dx'H dx <= ((1 - 2 ARMIJO)/4)^2) of the
-    self-concordant tau*psi, backtracking accepts the full step in exact
-    arithmetic (Boyd & Vandenberghe 9.6.4) but the computed psi comparison
-    is rounding noise, so the ratio-test step is taken without it.
+    below `_NEWTON_TOL` and the full step keeps every slack positive
+    (|G dx| < s); the decrement bounds |U dx / r| below 1.5e-5, so the
+    rates stay positive too.  It then takes that full step and returns the
+    step's multipliers: lam = (1 + G dx / s) / (tau s), the primal-dual
+    update of 1/(tau s), and w.  They satisfy stationarity at the new point
+    up to the linear solve's residual and a term quadratic in dx.  On
+    failure lam is 1/(tau s) at the last iterate.
     """
-    G, h, A, U = problem.G, problem.h, problem.A, problem.U_mat
+    G, U = problem.G, problem.U_mat
 
     def barrier_value(s, r):
         return -np.log(r).sum() - np.log(s).sum() / tau
 
-    s = h - G @ x
-    r = U @ x
-    polish = 0
     for it in range(max_iters):
         inv_s = 1.0 / s
         inv_r = 1.0 / r
-        grad_f = -(U.T @ inv_r)
-        grad = grad_f + G.T @ (inv_s / tau)
+        grad = G.T @ (inv_s / tau) - U.T @ inv_r
         dx, w = newton.solve(s, r, grad, tau)
         g_dx = G @ dx
         u_dx = U @ dx
         decrement = float(np.sum((u_dx * inv_r) ** 2)
                           + np.sum((g_dx * inv_s) ** 2) / tau)
-        if decrement / 2.0 <= _NEWTON_TOL:
-            grad_scale = max(1.0, float(np.abs(grad_f).max()))
-            stat = float(np.abs(grad + A.T @ w).max()) / grad_scale
-            if stat <= stat_target or polish >= 8:
-                return x, w, it, None
-            polish += 1
+        if decrement / 2.0 <= _NEWTON_TOL and np.all(np.abs(g_dx) < s):
+            lam = (1.0 + g_dx * inv_s) * inv_s / tau
+            return x + dx, s - g_dx, r + u_dx, lam, w, it, None
         # ratio test keeps the step strictly inside the domain
         alpha = 1.0
         pos = g_dx > 0
@@ -325,23 +319,18 @@ def _center(problem: RateProblem, x: np.ndarray, tau: float, max_iters: int,
             alpha = min(alpha, _BOUNDARY_BACKOFF * np.min(r[neg] / -u_dx[neg]))
         psi = barrier_value(s, r)
         slope = float(grad @ dx)
-        accepted = tau * decrement <= ((1.0 - 2.0 * _ARMIJO) / 4.0) ** 2
-        while not accepted and alpha > 1e-14:
+        while alpha > 1e-14:
             s_new = s - alpha * g_dx
             r_new = r + alpha * u_dx
-            if s_new.min() > 0 and r_new.min() > 0:
-                if barrier_value(s_new, r_new) <= psi + _ARMIJO * alpha * slope:
-                    accepted = True
-                    break
+            if (s_new.min() > 0 and r_new.min() > 0
+                    and barrier_value(s_new, r_new) <= psi + _ARMIJO * alpha * slope):
+                break
             alpha *= _STEP_SHRINK
-        if not accepted:
-            if decrement / 2.0 <= _NEWTON_TOL:
-                return x, w, it, None   # polish stalled at machine precision
-            return x, w, it, "line search failed"
+        else:
+            return x, s, r, 1.0 / (tau * s), w, it, "line search failed"
         x = x + alpha * dx
-        s = h - G @ x
-        r = U @ x
-    return x, w, max_iters, "inner Newton iteration cap hit"
+        s, r = s_new, r_new
+    return x, s, r, 1.0 / (tau * s), w, max_iters, "inner Newton iteration cap hit"
 
 
 def solve(problem: RateProblem, cfg: SolverConfig | None = None):
@@ -366,17 +355,17 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
 
     newton = _NewtonSystem(problem)
     x = strictly_feasible_point(problem)
-    if np.any(problem.h - problem.G @ x <= 0) or np.any(problem.U_mat @ x <= 0):
+    s, r = problem.h - problem.G @ x, problem.U_mat @ x
+    if np.any(s <= 0) or np.any(r <= 0):
         raise InfeasibleProblemError("starting point is not strictly feasible")
-    stat_target = 0.25 * cfg.duality_gap_tol
     # 5% overshoot keeps the final reported gap strictly below the tolerance
     tau_needed = 1.05 * m_ineq / gap_target_abs
     tau = _TAU0
     trace = []
     inner_total = 0
     while True:
-        x, w, inner, failure = _center(problem, x, tau, cfg.max_inner_iters,
-                                       newton, stat_target)
+        x, s, r, lam, w, inner, failure = _center(problem, x, s, r, tau,
+                                                  cfg.max_inner_iters, newton)
         inner_total += inner
         trace.append(problem.objective_log(x))
         if failure or m_ineq / tau <= gap_target_abs:
@@ -387,8 +376,7 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     solution = Solution(
         x=x, ue_ids=problem.ue_ids.copy(), r_ul_bps=r_ul, r_dl_bps=r_dl,
         gm_bps=problem.gm_bps(x), objective_log=problem.objective_log(x),
-        scale_bps=problem.scale_bps, lam=1.0 / (tau * (problem.h - problem.G @ x)),
-        nu=w,
+        scale_bps=problem.scale_bps, lam=lam, nu=w,
     )
     kkt = check_kkt(problem, solution, tol=cfg.duality_gap_tol,
                     feas_tol=cfg.feasibility_tol)

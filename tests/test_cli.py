@@ -215,6 +215,12 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: anchor_policy manual-list")
         assert not (tmp_path / "out").exists()
 
+    def test_anchor_list_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, grid_cols=3, anchor_list=[2])
+        assert main(["sweep", "--config", str(cfg), "--k-list", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: anchor_list")
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path, scenarios=["access_ss", "iab_mesh_ss"])
         assert main(["sweep", "--config", str(cfg), "--k-list", "1,2"]) == 0

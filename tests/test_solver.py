@@ -23,6 +23,7 @@ def solve_checked(prob, cfg=None):
     """Solve and assert the certificate holds (acceptance criterion 3)."""
     sol, cert = solve(prob, cfg)
     assert cert.kkt.ok, f"certificate failed: {cert.kkt}"
+    assert cert.kkt.stationarity <= 1e-10
     assert cert.gap_rel <= (cfg or SolverConfig()).duality_gap_tol
     kkt = check_kkt(prob, sol)
     assert kkt.ok, f"KKT failed: {kkt}"
@@ -207,6 +208,26 @@ class TestCertifiedOnGrids:
     ])
     def test_kkt_certified(self, rows, cols, n_ues, seed, k, scenario):
         solve_checked(grid_problem(rows, cols, n_ues, seed, k, scenario))
+
+    @pytest.mark.parametrize("scenario", [v.value for v in Variant])
+    def test_kkt_certified_at_tight_gap(self, scenario):
+        # stationarity is checked at duality_gap_tol too, so the multipliers
+        # must be accurate to well below it
+        solve_checked(grid_problem(3, 6, 60, 1, 7, scenario),
+                      SolverConfig(duality_gap_tol=1e-8))
+
+    @pytest.mark.parametrize("scenario", [v.value for v in Variant])
+    def test_unreachable_gap_is_typed_failure(self, scenario):
+        # 1e-12 lies below what a Newton decrement of 1e-10 can certify: each
+        # solve certifies or raises ConvergenceError, and no slack or rate
+        # reaches zero on the way (a RuntimeWarning would fail the test)
+        prob = grid_problem(2, 3, 30, 5, 2, scenario)
+        try:
+            _, cert = solve(prob, SolverConfig(duality_gap_tol=1e-12))
+            assert cert.kkt.ok
+        except ConvergenceError as err:
+            cert = err.certificate
+            assert cert.gap_rel == cert.n_inequalities / cert.tau_final / (2 * prob.n_included)
 
 
 class TestNewtonStep:
