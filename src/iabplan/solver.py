@@ -39,13 +39,15 @@ from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
 from .problem import RateProblem, validate
 
 _TAU0 = 1.0
-_BARRIER_INCREASE = 10.0   # tau multiplier per outer iteration
+_BARRIER_INCREASE = 100.0  # tau multiplier per centering (docs: Barrier schedule)
 _NEWTON_TOL = 1e-10        # half squared Newton decrement
 _ARMIJO = 0.25
 _STEP_SHRINK = 0.5
 _BOUNDARY_BACKOFF = 0.99
 _REG = 1e-14               # primal-dual regularization of the Newton system
 _REFINE_PASSES = 3         # refinement passes per Newton step
+_LU_RELAX = 1              # SuperLU relaxed-supernode size and panel width
+_LU_PANEL = 1              # (docs: Factorization parameters)
 
 
 @dataclass(frozen=True)
@@ -201,9 +203,9 @@ class _NewtonSystem:
     diagonal, which makes it quasidefinite: it factors without pivoting
     under any symmetric order.  So one minimum-degree order of the pattern,
     taken once here, is folded into the stored pattern, each step factors in
-    that order, and iterative refinement against the unregularized matrix
-    recovers its step.  See docs/solver_notes.md, "Augmented system" to
-    "Refinement".
+    that order with narrow SuperLU panels, and iterative refinement against
+    the unregularized matrix recovers its step.  See docs/solver_notes.md,
+    "Augmented system" to "Refinement".
     """
 
     def __init__(self, problem: RateProblem):
@@ -214,6 +216,9 @@ class _NewtonSystem:
         self.T = sp.csr_matrix(
             (np.r_[-np.ones(nf), problem.cap, np.ones(n - nf)],
              (np.r_[k, k, nf + k, j], np.r_[k, nf + k, nf + k, j])), shape=(n, n))
+        # stored transposes: a .T per product builds a new sparse object
+        self.T_t = self.T.T.tocsr()
+        self.G_t, self.U_t = problem.G.T.tocsr(), problem.U_mat.T.tocsr()
         B = sp.vstack([problem.U_mat, problem.G[self.sl_c], problem.A]) @ self.T
         B = B.tocoo()
         self.size = n + B.shape[0]
@@ -232,6 +237,7 @@ class _NewtonSystem:
             (np.r_[sign, np.full(nf, 0.5), B.data][src], (rows, cols)),
             shape=(self.size, self.size))
         perm = spla.splu(placeholder, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                         relax=_LU_RELAX, panel_size=_LU_PANEL,
                          options={"SymmetricMode": True}).perm_c
         rows, cols = perm[rows], perm[cols]
         order = np.lexsort((rows, cols))
@@ -256,9 +262,10 @@ class _NewtonSystem:
                                -c * d[:nf], self._b])
         vals[:self.size] += self._reg
         self.kkt.data[:] = vals[self._src]
-        lu = spla.splu(self.kkt, permc_spec="NATURAL", diag_pivot_thresh=0)
+        lu = spla.splu(self.kkt, permc_spec="NATURAL", diag_pivot_thresh=0,
+                       relax=_LU_RELAX, panel_size=_LU_PANEL)
         rhs = np.zeros(self.size)
-        rhs[self._dy] = -(self.T.T @ grad)
+        rhs[self._dy] = -(self.T_t @ grad)
         sol = self._refine(lu, rhs)
         return self.T @ sol[self._dy], sol[self._w]
 
@@ -292,7 +299,7 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
     up to the linear solve's residual and a term quadratic in dx.  On
     failure lam is 1/(tau s) at the last iterate.
     """
-    G, U = problem.G, problem.U_mat
+    G, U, G_t, U_t = problem.G, problem.U_mat, newton.G_t, newton.U_t
 
     def barrier_value(s, r):
         return -np.log(r).sum() - np.log(s).sum() / tau
@@ -300,7 +307,7 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
     for it in range(max_iters):
         inv_s = 1.0 / s
         inv_r = 1.0 / r
-        grad = G.T @ (inv_s / tau) - U.T @ inv_r
+        grad = G_t @ (inv_s / tau) - U_t @ inv_r
         dx, w = newton.solve(s, r, grad, tau)
         g_dx = G @ dx
         u_dx = U @ dx
@@ -336,11 +343,11 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
 def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     """Maximize the sum of log rates; returns (Solution, Certificate).
 
-    tau runs 1, 10, 100, ... up to `tau_needed`, where the gap bound m/tau
-    per log-rate term is below `duality_gap_tol`; each value is one
-    centering of at most `max_inner_iters` Newton steps.  The certificate
-    carries `check_kkt` of the answer at `duality_gap_tol` and
-    `feasibility_tol`, which it always passes on return.  Raises
+    tau runs 1, 100, 1e4, ... (a long-step schedule) up to `tau_needed`,
+    where the gap bound m/tau per log-rate term is below `duality_gap_tol`;
+    each value is one centering of at most `max_inner_iters` Newton steps.
+    The certificate carries `check_kkt` of the answer at `duality_gap_tol`
+    and `feasibility_tol`, which it always passes on return.  Raises
     InfeasibleProblemError when no strictly feasible point exists, and
     ConvergenceError when a centering hits its cap or its line search
     fails, or when the final point fails that check.  The error carries

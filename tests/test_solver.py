@@ -216,6 +216,15 @@ class TestCertifiedOnGrids:
         solve_checked(grid_problem(3, 6, 60, 1, 7, scenario),
                       SolverConfig(duality_gap_tol=1e-8))
 
+    def test_newton_step_count(self):
+        # the long-step schedule (tau x100 per centering): 282 Newton systems
+        # over the five scenarios, where tau x10 takes 390
+        steps = 0
+        for scenario in Variant:
+            _, cert = solve_checked(grid_problem(3, 6, 60, 1, 7, scenario.value))
+            steps += cert.inner_iters + cert.outer_iters
+        assert steps <= 300
+
     @pytest.mark.parametrize("scenario", [v.value for v in Variant])
     def test_unreachable_gap_is_typed_failure(self, scenario):
         # 1e-12 lies below what a Newton decrement of 1e-10 can certify: each
