@@ -1,4 +1,4 @@
-"""Certified log-barrier interior-point solver for the rate program.
+"""Certified primal-dual barrier interior-point solver for the rate program.
 
 The geometric-mean objective is maximized through its monotone transform
 F(x) = -sum_i [log r_i^UL + log r_i^DL], a smooth convex function on the
@@ -8,17 +8,18 @@ interior of the linear feasible region.  We follow the central path of
 
 with damped Newton steps.  Each step solves, in augmented form, the system
 
-    [ H   A' ] [dx]   [-grad]          H  = tau * H_F + G' diag(1/s^2) G
+    [ H   A' ] [dx]   [-grad]          H  = tau * H_F + G' diag(tau lam/s) G
     [ A   0  ] [ w] = [  0  ]          s  = h - G x  (slacks, kept > 0)
 
-so every iterate satisfies the conservation equalities exactly.  Slacks
-and rates are carried with the steps, not recomputed from x.  A centering
-ends with a full Newton step, whose multipliers lambda_k = (1 + g_k'dx /
-s_k) / (tau * s_k) and w certify the new point: they are dual feasible and
-give the duality gap bound m/tau (m = number of inequality rows), which we
-drive below `duality_gap_tol` per log-rate term; that bounds the relative
-suboptimality of the reported geometric mean.  See docs/solver_notes.md for
-the full derivation.
+so every iterate satisfies the conservation equalities exactly.  Slacks,
+rates and the inequality multipliers lam are carried with the steps, not
+recomputed from x; lam = 1/(tau s) would give the primal barrier step.  A
+centering ends with a full Newton step, whose multipliers lambda_k =
+1/(tau s_k) + lam_k g_k'dx / s_k and w certify the new point: they are
+dual feasible and give a duality gap near m/tau (m = number of inequality
+rows), which we drive below `duality_gap_tol` per log-rate term; that
+bounds the relative suboptimality of the reported geometric mean.  See
+docs/solver_notes.md for the full derivation.
 
 All computations run in capacity-normalized units (see problem.py); rates
 are converted to bps only at the reporting boundary.  The solve is
@@ -44,6 +45,7 @@ _NEWTON_TOL = 1e-10        # half squared Newton decrement
 _ARMIJO = 0.25
 _STEP_SHRINK = 0.5
 _BOUNDARY_BACKOFF = 0.99
+_LAM_SPREAD = 1e10         # carried lam stays within this factor of 1/(tau s)
 _REG = 1e-14               # primal-dual regularization of the Newton system
 _REFINE_PASSES = 3         # refinement passes per Newton step
 _LU_RELAX = 1              # SuperLU relaxed-supernode size and panel width
@@ -192,7 +194,7 @@ class _NewtonSystem:
 
     Unknowns dy = (dsigma, dt, dm) with sigma_k = c_k t_k - f_k, so dx = T dy,
     then z for the rate, resource and fiber rows and w for A.  The system
-    [[K, B'], [B, -diag(r^2, tau s_c^2, 0)]] with B = [U; G_c; A] T reduces to
+    [[K, B'], [B, -diag(r^2, s_c/lam_c, 0)]] with B = [U; G_c; A] T reduces to
     [[H, A'], [A, 0]] but never forms a resource row's dense rank-one block:
     K holds only per-link 2x2 blocks and diagonals.  Slack coordinates keep a
     tight capacity row's barrier term alone on the sigma diagonal; in (f, t)
@@ -251,14 +253,16 @@ class _NewtonSystem:
              np.searchsorted(cols[order], np.arange(self.size + 1))),
             shape=(self.size, self.size))
 
-    def solve(self, s: np.ndarray, r: np.ndarray, grad: np.ndarray, tau: float):
-        """Newton step (dx, w) at slacks s = h - Gx and rates r = Ux."""
+    def solve(self, s: np.ndarray, r: np.ndarray, lam: np.ndarray, grad: np.ndarray):
+        """Newton step (dx, w) at slacks s = h - Gx, rates r = Ux and
+        inequality multipliers lam, with row weights lam / s."""
         p = self.problem
-        nf, n, c = p.n_flow, p.n_var, p.cap
-        d = 1.0 / (tau * s[p.row_slices["nonneg"]] ** 2)
-        a = 1.0 / (tau * s[p.row_slices["flow_capacity"]] ** 2)
+        nf, c = p.n_flow, p.cap
+        wt = lam / s
+        d = wt[p.row_slices["nonneg"]]
+        a = wt[p.row_slices["flow_capacity"]]
         vals = np.concatenate([a + d[:nf], c * c * d[:nf] + d[nf:2 * nf], d[2 * nf:],
-                               -r ** 2, -tau * s[self.sl_c] ** 2, np.zeros(self.n_eq),
+                               -r ** 2, -1.0 / wt[self.sl_c], np.zeros(self.n_eq),
                                -c * d[:nf], self._b])
         vals[:self.size] += self._reg
         self.kkt.data[:] = vals[self._src]
@@ -278,26 +282,43 @@ class _NewtonSystem:
         return sol
 
 
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    """Ratio test: the full step, or 99% of the longest that keeps v + alpha dv
+    strictly positive, whichever is shorter."""
+    neg = dv < 0
+    if not neg.any():
+        return 1.0
+    return min(1.0, _BOUNDARY_BACKOFF * float(np.min(v[neg] / -dv[neg])))
+
+
 def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
-            tau: float, max_iters: int, newton: _NewtonSystem):
+            lam: np.ndarray, tau: float, max_iters: int, newton: _NewtonSystem):
     """Newton iterations for one barrier subproblem from the interior point x
-    with slacks s = h - Gx and rates r = Ux.
+    with slacks s = h - Gx, rates r = Ux and inequality multipliers lam > 0.
 
     Returns (x, s, r, lam, w, iters, failure): the last iterate with its
-    carried slacks and rates, the inequality and conservation multipliers,
+    carried slacks, rates and multipliers, the conservation multipliers,
     the number of damped steps taken, and None or the reason centering
     stopped short (iteration cap, failed line search).
 
     Minimizes psi = F + phi/tau (the 1/tau scaling keeps values and
     gradients at the scale of F for any tau, so line-search comparisons
-    stay above floating-point noise).  Stops once the Newton decrement is
-    below `_NEWTON_TOL` and the full step keeps every slack positive
-    (|G dx| < s); the decrement bounds |U dx / r| below 1.5e-5, so the
-    rates stay positive too.  It then takes that full step and returns the
-    step's multipliers: lam = (1 + G dx / s) / (tau s), the primal-dual
-    update of 1/(tau s), and w.  They satisfy stationarity at the new point
-    up to the linear solve's residual and a term quadratic in dx.  On
-    failure lam is 1/(tau s) at the last iterate.
+    stay above floating-point noise).  Each step is the primal-dual one:
+    the Newton matrix weighs row k by lam_k / s_k in place of the primal
+    1/(tau s_k^2), and the right-hand side stays -grad psi, so dx descends
+    psi and the line search is unchanged.  The multipliers take their own
+    step dlam = 1/(tau s) - lam + (lam / s) G dx, damped to stay positive,
+    and are then kept within a factor `_LAM_SPREAD` of 1/(tau s), so a
+    centering that makes no progress cannot blow them up; lam = 1/(tau s)
+    gives the primal barrier step.  Stops once the Newton decrement is
+    below `_NEWTON_TOL`, the full step keeps every slack positive
+    (|G dx| < s) and every multiplier positive (lam + dlam > 0); the
+    decrement bounds |U dx / r| below 1.5e-5, so the rates stay positive
+    too.  It then takes that full step and returns the
+    step's multipliers lam + dlam = 1/(tau s) + (lam / s) G dx, and w.
+    They satisfy stationarity at the new point up to the linear solve's
+    residual and a term quadratic in dx.  On failure lam is the carried
+    multiplier of the last iterate.
     """
     G, U, G_t, U_t = problem.G, problem.U_mat, newton.G_t, newton.U_t
 
@@ -308,22 +329,16 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
         inv_s = 1.0 / s
         inv_r = 1.0 / r
         grad = G_t @ (inv_s / tau) - U_t @ inv_r
-        dx, w = newton.solve(s, r, grad, tau)
+        dx, w = newton.solve(s, r, lam, grad)
         g_dx = G @ dx
         u_dx = U @ dx
+        d_lam = inv_s / tau - lam + lam * inv_s * g_dx
         decrement = float(np.sum((u_dx * inv_r) ** 2)
                           + np.sum((g_dx * inv_s) ** 2) / tau)
-        if decrement / 2.0 <= _NEWTON_TOL and np.all(np.abs(g_dx) < s):
-            lam = (1.0 + g_dx * inv_s) * inv_s / tau
-            return x + dx, s - g_dx, r + u_dx, lam, w, it, None
-        # ratio test keeps the step strictly inside the domain
-        alpha = 1.0
-        pos = g_dx > 0
-        if pos.any():
-            alpha = min(alpha, _BOUNDARY_BACKOFF * np.min(s[pos] / g_dx[pos]))
-        neg = u_dx < 0
-        if neg.any():
-            alpha = min(alpha, _BOUNDARY_BACKOFF * np.min(r[neg] / -u_dx[neg]))
+        if (decrement / 2.0 <= _NEWTON_TOL and np.all(np.abs(g_dx) < s)
+                and np.all(lam + d_lam > 0)):
+            return x + dx, s - g_dx, r + u_dx, lam + d_lam, w, it, None
+        alpha = min(_step_to_boundary(s, -g_dx), _step_to_boundary(r, u_dx))
         psi = barrier_value(s, r)
         slope = float(grad @ dx)
         while alpha > 1e-14:
@@ -334,10 +349,13 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
                 break
             alpha *= _STEP_SHRINK
         else:
-            return x, s, r, 1.0 / (tau * s), w, it, "line search failed"
+            return x, s, r, lam, w, it, "line search failed"
         x = x + alpha * dx
         s, r = s_new, r_new
-    return x, s, r, 1.0 / (tau * s), w, max_iters, "inner Newton iteration cap hit"
+        lam = lam + _step_to_boundary(lam, d_lam) * d_lam
+        central = 1.0 / (tau * s)
+        lam = np.clip(lam, central / _LAM_SPREAD, central * _LAM_SPREAD)
+    return x, s, r, lam, w, max_iters, "inner Newton iteration cap hit"
 
 
 def solve(problem: RateProblem, cfg: SolverConfig | None = None):
@@ -368,10 +386,13 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     # 5% overshoot keeps the final reported gap strictly below the tolerance
     tau_needed = 1.05 * m_ineq / gap_target_abs
     tau = _TAU0
+    # carried across centerings: resetting lam to 1/(tau s) when tau grows
+    # costs more steps (docs: Carried multipliers)
+    lam = 1.0 / (tau * s)
     trace = []
     inner_total = 0
     while True:
-        x, s, r, lam, w, inner, failure = _center(problem, x, s, r, tau,
+        x, s, r, lam, w, inner, failure = _center(problem, x, s, r, lam, tau,
                                                   cfg.max_inner_iters, newton)
         inner_total += inner
         trace.append(problem.objective_log(x))

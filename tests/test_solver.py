@@ -170,6 +170,17 @@ class TestFailureModes:
         assert err.value.certificate.kkt.ok is False
         assert_failure_certificate(err, prob)
 
+    def test_stalled_centering_keeps_multipliers_finite(self):
+        # 1e-12 cannot be certified here, and iab_st's last centering runs to
+        # its cap; the carried multipliers must stay bounded while it stalls
+        # (unbounded, they overflow within 300 steps and a RuntimeWarning
+        # fails the test)
+        prob = grid_problem(2, 3, 30, 5, 2, "iab_st")
+        with pytest.raises(ConvergenceError) as err:
+            solve(prob, SolverConfig(duality_gap_tol=1e-12, max_inner_iters=300))
+        assert np.isfinite(err.value.certificate.kkt.stationarity)
+        assert_failure_certificate(err, prob)
+
     @pytest.mark.parametrize("kw", [
         {"feasibility_tol": -1e-9}, {"feasibility_tol": float("inf")},
         {"duality_gap_tol": "1e-6"}, {"max_inner_iters": 2.5},
@@ -197,6 +208,14 @@ class TestCertifiedOnGrids:
     bring stationarity below tolerance where a barrier-value comparison is
     rounding noise, and keep conservation at rounding level."""
 
+    @staticmethod
+    def solve_certified(prob, cfg=None):
+        """solve_checked, and the returned multipliers are strictly positive
+        (carried ones are kept so, and the last step's must stay so)."""
+        sol, cert = solve_checked(prob, cfg)
+        assert sol.lam.min() > 0
+        return sol, cert
+
     @pytest.mark.parametrize("rows, cols, n_ues, seed, k, scenario", [
         (3, 6, 60, 1, 7, "access_lb"),
         (2, 3, 30, 1, 1, "iab_st"),
@@ -207,23 +226,24 @@ class TestCertifiedOnGrids:
         (3, 6, 600, 3, 7, "iab_mesh_lb"),
     ])
     def test_kkt_certified(self, rows, cols, n_ues, seed, k, scenario):
-        solve_checked(grid_problem(rows, cols, n_ues, seed, k, scenario))
+        self.solve_certified(grid_problem(rows, cols, n_ues, seed, k, scenario))
 
     @pytest.mark.parametrize("scenario", [v.value for v in Variant])
     def test_kkt_certified_at_tight_gap(self, scenario):
         # stationarity is checked at duality_gap_tol too, so the multipliers
         # must be accurate to well below it
-        solve_checked(grid_problem(3, 6, 60, 1, 7, scenario),
-                      SolverConfig(duality_gap_tol=1e-8))
+        self.solve_certified(grid_problem(3, 6, 60, 1, 7, scenario),
+                             SolverConfig(duality_gap_tol=1e-8))
 
     def test_newton_step_count(self):
-        # the long-step schedule (tau x100 per centering): 282 Newton systems
-        # over the five scenarios, where tau x10 takes 390
+        # carried multipliers on the long-step schedule (tau x100 per
+        # centering): 168 Newton systems over the five scenarios, where
+        # primal barrier steps take 282 and tau x10 takes 390
         steps = 0
         for scenario in Variant:
-            _, cert = solve_checked(grid_problem(3, 6, 60, 1, 7, scenario.value))
+            _, cert = self.solve_certified(grid_problem(3, 6, 60, 1, 7, scenario.value))
             steps += cert.inner_iters + cert.outer_iters
-        assert steps <= 300
+        assert steps <= 190
 
     @pytest.mark.parametrize("scenario", [v.value for v in Variant])
     def test_unreachable_gap_is_typed_failure(self, scenario):
@@ -232,26 +252,42 @@ class TestCertifiedOnGrids:
         # reaches zero on the way (a RuntimeWarning would fail the test)
         prob = grid_problem(2, 3, 30, 5, 2, scenario)
         try:
-            _, cert = solve(prob, SolverConfig(duality_gap_tol=1e-12))
+            sol, cert = solve(prob, SolverConfig(duality_gap_tol=1e-12))
             assert cert.kkt.ok
+            assert sol.lam.min() > 0
         except ConvergenceError as err:
             cert = err.certificate
             assert cert.gap_rel == cert.n_inequalities / cert.tau_final / (2 * prob.n_included)
 
 
+def multipliers(s, tau, off_path):
+    """1/(tau s) on the central path, or that scaled by seeded exp(N(0, 1))
+    factors, as carried multipliers sit off it."""
+    lam = 1.0 / (tau * s)
+    if off_path:
+        lam *= np.exp(np.random.default_rng(7).standard_normal(s.size))
+    return lam
+
+
+# instance seeds, each on and off the central path
+SEED_PATHS = [pytest.param(seed, off_path, id=f"{seed}-off_path" if off_path else str(seed))
+              for off_path in (False, True) for seed in (0, 1, 4)]
+
+
 class TestNewtonStep:
-    @pytest.mark.parametrize("seed", [0, 1, 4])
+    @pytest.mark.parametrize("seed, off_path", SEED_PATHS)
     @pytest.mark.parametrize("tau", [1.0, 1e3, 1e6])
-    def test_matches_dense_saddle_point_solve(self, seed, tau):
+    def test_matches_dense_saddle_point_solve(self, seed, tau, off_path):
         prob = random_tiny_instance(seed)
         G, h, A, U = prob.G, prob.h, prob.A, prob.U_mat
         x = strictly_feasible_point(prob)
         s, r = h - G @ x, U @ x
         grad = -(U.T @ (1.0 / r)) + G.T @ (1.0 / (tau * s))
-        dx, w = _NewtonSystem(prob).solve(s, r, grad, tau)
+        lam = multipliers(s, tau, off_path)
+        dx, w = _NewtonSystem(prob).solve(s, r, lam, grad)
 
         Ud, Gd, Ad = U.toarray(), G.toarray(), A.toarray()
-        H = Ud.T @ (Ud / r[:, None] ** 2) + Gd.T @ (Gd / (tau * s[:, None] ** 2))
+        H = Ud.T @ (Ud / r[:, None] ** 2) + Gd.T @ (Gd * (lam / s)[:, None])
         p = Ad.shape[0]
         kkt = np.block([[H, Ad.T], [Ad, np.zeros((p, p))]])
         ref = np.linalg.solve(kkt, np.r_[-grad, np.zeros(p)])
@@ -268,9 +304,10 @@ def newton_inputs(prob, tau):
     return s, r, grad
 
 
-def slack_system(prob, s, r, tau):
+def slack_system(prob, s, r, lam):
     """The unregularized augmented system in slack coordinates, built from
-    G, U and A: unknowns (dy, z_U, z_c, w) with dx = T dy, f = c t - sigma."""
+    G, U and A with row weights lam / s: unknowns (dy, z_U, z_c, w) with
+    dx = T dy, f = c t - sigma."""
     nf, n, rs = prob.n_flow, prob.n_var, prob.row_slices
     k = np.arange(nf)
     T = sp.identity(n, format="lil")
@@ -280,10 +317,11 @@ def slack_system(prob, s, r, tau):
     barrier = np.r_[np.arange(rs["flow_capacity"].start, rs["flow_capacity"].stop),
                     np.arange(rs["nonneg"].start, rs["nonneg"].stop)]
     Gb = prob.G[barrier] @ T
-    K = Gb.T @ sp.diags(1.0 / (tau * s[barrier] ** 2)) @ Gb
+    wt = lam / s
+    K = Gb.T @ sp.diags(wt[barrier]) @ Gb
     sl_c = slice(rs["resource"].start, rs["fiber"].stop)
     B = sp.vstack([prob.U_mat, prob.G[sl_c], prob.A]) @ T
-    D = sp.diags(np.r_[r ** 2, tau * s[sl_c] ** 2, np.zeros(prob.A.shape[0])])
+    D = sp.diags(np.r_[r ** 2, 1.0 / wt[sl_c], np.zeros(prob.A.shape[0])])
     return sp.bmat([[K, B.T], [B, -D]]).tocsr(), T, sl_c
 
 
@@ -302,21 +340,22 @@ class TestRegularizedNewtonSystem:
         assert max(nnz) <= 40_000     # 121k with natural order and pivoting
         assert len(nnz) == cert.inner_iters + cert.outer_iters + 1
 
-    @pytest.mark.parametrize("seed", [0, 1, 4])
+    @pytest.mark.parametrize("seed, off_path", SEED_PATHS)
     @pytest.mark.parametrize("tau", [1.0, 1e3, 1e6, 1e9])
-    def test_step_solves_unregularized_system(self, seed, tau):
+    def test_step_solves_unregularized_system(self, seed, tau, off_path):
         # componentwise (Oettli-Prager) backward error of the returned step
         # in the unregularized system: rounding level, where the regularized
         # factor's solution alone is off by 1e-12 to 1e-8
         prob = random_tiny_instance(seed)
         s, r, grad = newton_inputs(prob, tau)
-        dx, w = _NewtonSystem(prob).solve(s, r, grad, tau)
+        lam = multipliers(s, tau, off_path)
+        dx, w = _NewtonSystem(prob).solve(s, r, lam, grad)
 
-        K, T, sl_c = slack_system(prob, s, r, tau)
+        K, T, sl_c = slack_system(prob, s, r, lam)
         nf = prob.n_flow
         sol = np.r_[prob.cap * dx[nf:2 * nf] - dx[:nf], dx[nf:],
                     (prob.U_mat @ dx) / r ** 2,
-                    (prob.G[sl_c] @ dx) / (tau * s[sl_c] ** 2), w]
+                    (prob.G[sl_c] @ dx) * (lam / s)[sl_c], w]
         rhs = np.r_[-(T.T @ grad), np.zeros(K.shape[0] - prob.n_var)]
         error = np.abs(K @ sol - rhs) / (abs(K) @ np.abs(sol) + np.abs(rhs))
         assert error.max() <= 10 * np.finfo(float).eps
@@ -327,7 +366,7 @@ class TestRegularizedNewtonSystem:
         gc.disable()
         try:
             newton = _NewtonSystem(prob)
-            newton.solve(s, r, grad, 1.0)
+            newton.solve(s, r, 1.0 / s, grad)
             ref = weakref.ref(newton)
             del newton
             assert ref() is None
