@@ -14,12 +14,14 @@ with damped Newton steps.  Each step solves, in augmented form, the system
 so every iterate satisfies the conservation equalities exactly.  Slacks,
 rates and the inequality multipliers lam are carried with the steps, not
 recomputed from x; lam = 1/(tau s) would give the primal barrier step.  A
-centering ends with a full Newton step, whose multipliers lambda_k =
-1/(tau s_k) + lam_k g_k'dx / s_k and w certify the new point: they are
-dual feasible and give a duality gap near m/tau (m = number of inequality
-rows), which we drive below `duality_gap_tol` per log-rate term; that
-bounds the relative suboptimality of the reported geometric mean.  See
-docs/solver_notes.md for the full derivation.
+centering ends with a full Newton step once the half squared Newton
+decrement is below its tolerance: a loose one while tau still grows, and
+a tight one at the last tau, whose point is the answer.  That step's
+multipliers lambda_k = 1/(tau s_k) + lam_k g_k'dx / s_k and w certify
+the new point: they are dual feasible and give a duality gap near m/tau
+(m = number of inequality rows), which we drive below `duality_gap_tol`
+per log-rate term; that bounds the relative suboptimality of the reported
+geometric mean.  See docs/solver_notes.md for the full derivation.
 
 All computations run in capacity-normalized units (see problem.py); rates
 are converted to bps only at the reporting boundary.  The solve is
@@ -41,7 +43,8 @@ from .problem import RateProblem, validate
 
 _TAU0 = 1.0
 _BARRIER_INCREASE = 100.0  # tau multiplier per centering (docs: Barrier schedule)
-_NEWTON_TOL = 1e-10        # half squared Newton decrement
+_NEWTON_TOL = 1e-10        # half squared Newton decrement, last centering
+_PATH_TOL = 1e-3           # the same, intermediate centerings (docs: Step size)
 _ARMIJO = 0.25
 _STEP_SHRINK = 0.5
 _BOUNDARY_BACKOFF = 0.99
@@ -292,7 +295,8 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
-            lam: np.ndarray, tau: float, max_iters: int, newton: _NewtonSystem):
+            lam: np.ndarray, tau: float, tol: float, max_iters: int,
+            newton: _NewtonSystem):
     """Newton iterations for one barrier subproblem from the interior point x
     with slacks s = h - Gx, rates r = Ux and inequality multipliers lam > 0.
 
@@ -310,15 +314,16 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
     step dlam = 1/(tau s) - lam + (lam / s) G dx, damped to stay positive,
     and are then kept within a factor `_LAM_SPREAD` of 1/(tau s), so a
     centering that makes no progress cannot blow them up; lam = 1/(tau s)
-    gives the primal barrier step.  Stops once the Newton decrement is
-    below `_NEWTON_TOL`, the full step keeps every slack positive
+    gives the primal barrier step.  Stops once the half squared Newton
+    decrement is below `tol`, the full step keeps every slack positive
     (|G dx| < s) and every multiplier positive (lam + dlam > 0); the
-    decrement bounds |U dx / r| below 1.5e-5, so the rates stay positive
-    too.  It then takes that full step and returns the
-    step's multipliers lam + dlam = 1/(tau s) + (lam / s) G dx, and w.
-    They satisfy stationarity at the new point up to the linear solve's
-    residual and a term quadratic in dx.  On failure lam is the carried
-    multiplier of the last iterate.
+    decrement bounds |U dx / r| below sqrt(2 tol), under 0.045 for any tol
+    `solve` passes, so the rates stay positive too.  It then takes that
+    full step and returns the step's multipliers
+    lam + dlam = 1/(tau s) + (lam / s) G dx, and w.  They satisfy
+    stationarity at the new point up to the linear solve's residual and a
+    term quadratic in dx.  On failure lam is the carried multiplier of the
+    last iterate.
     """
     G, U, G_t, U_t = problem.G, problem.U_mat, newton.G_t, newton.U_t
 
@@ -335,7 +340,7 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
         d_lam = inv_s / tau - lam + lam * inv_s * g_dx
         decrement = float(np.sum((u_dx * inv_r) ** 2)
                           + np.sum((g_dx * inv_s) ** 2) / tau)
-        if (decrement / 2.0 <= _NEWTON_TOL and np.all(np.abs(g_dx) < s)
+        if (decrement / 2.0 <= tol and np.all(np.abs(g_dx) < s)
                 and np.all(lam + d_lam > 0)):
             return x + dx, s - g_dx, r + u_dx, lam + d_lam, w, it, None
         alpha = min(_step_to_boundary(s, -g_dx), _step_to_boundary(r, u_dx))
@@ -363,15 +368,17 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
 
     tau runs 1, 100, 1e4, ... (a long-step schedule) up to `tau_needed`,
     where the gap bound m/tau per log-rate term is below `duality_gap_tol`;
-    each value is one centering of at most `max_inner_iters` Newton steps.
+    each value is one centering of at most `max_inner_iters` Newton steps,
+    stopped at the decrement `_PATH_TOL`, except the last at `_NEWTON_TOL`.
     The certificate carries `check_kkt` of the answer at `duality_gap_tol`
     and `feasibility_tol`, which it always passes on return.  Raises
     InfeasibleProblemError when no strictly feasible point exists, and
     ConvergenceError when a centering hits its cap or its line search
     fails, or when the final point fails that check.  The error carries
     the last iterate and its certificate, with the gap bound at the tau
-    being centered and the KKT report saying what fails.  Deterministic
-    for fixed inputs.
+    being centered and the KKT report saying what fails; when a centering
+    failed, that report pairs the iterate with lam = 1/(tau s).
+    Deterministic for fixed inputs.
     """
     cfg = cfg or SolverConfig()
     n_terms = 2 * problem.n_included
@@ -392,13 +399,19 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     trace = []
     inner_total = 0
     while True:
-        x, s, r, lam, w, inner, failure = _center(problem, x, s, r, lam, tau,
-                                                  cfg.max_inner_iters, newton)
+        last = m_ineq / tau <= gap_target_abs
+        x, s, r, lam, w, inner, failure = _center(
+            problem, x, s, r, lam, tau, _NEWTON_TOL if last else _PATH_TOL,
+            cfg.max_inner_iters, newton)
         inner_total += inner
         trace.append(problem.objective_log(x))
-        if failure or m_ineq / tau <= gap_target_abs:
+        if failure or last:
             break
         tau = min(tau * _BARRIER_INCREASE, tau_needed)
+    if failure:
+        # the carried lam may sit up to _LAM_SPREAD off 1/(tau s), which
+        # would leave the failure's KKT report saying nothing of x
+        lam = 1.0 / (tau * s)
 
     r_ul, r_dl = problem.rates_bps(x)
     solution = Solution(

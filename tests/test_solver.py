@@ -174,11 +174,13 @@ class TestFailureModes:
         # 1e-12 cannot be certified here, and iab_st's last centering runs to
         # its cap; the carried multipliers must stay bounded while it stalls
         # (unbounded, they overflow within 300 steps and a RuntimeWarning
-        # fails the test)
+        # fails the test), and the failure's certificate pairs the last
+        # iterate with 1/(tau s), whose residual stays readable (the carried
+        # multipliers, up to 1e10 off it, read about 4e8)
         prob = grid_problem(2, 3, 30, 5, 2, "iab_st")
         with pytest.raises(ConvergenceError) as err:
             solve(prob, SolverConfig(duality_gap_tol=1e-12, max_inner_iters=300))
-        assert np.isfinite(err.value.certificate.kkt.stationarity)
+        assert err.value.certificate.kkt.stationarity <= 10
         assert_failure_certificate(err, prob)
 
     @pytest.mark.parametrize("kw", [
@@ -237,13 +239,22 @@ class TestCertifiedOnGrids:
 
     def test_newton_step_count(self):
         # carried multipliers on the long-step schedule (tau x100 per
-        # centering): 168 Newton systems over the five scenarios, where
-        # primal barrier steps take 282 and tau x10 takes 390
+        # centering), with loose intermediate centerings: 136 Newton systems
+        # over the five scenarios, where centering every tau tightly takes
+        # 168, primal barrier steps 282 and tau x10 390
         steps = 0
         for scenario in Variant:
             _, cert = self.solve_certified(grid_problem(3, 6, 60, 1, 7, scenario.value))
             steps += cert.inner_iters + cert.outer_iters
-        assert steps <= 190
+        assert steps <= 150
+
+    @pytest.mark.parametrize("scenario", [v.value for v in Variant])
+    def test_objective_trace_nondecreasing(self, scenario):
+        # the intermediate centerings stop at a loose decrement; the point
+        # each one returns must still improve on the one before
+        _, cert = self.solve_certified(grid_problem(3, 6, 60, 1, 7, scenario))
+        trace = np.asarray(cert.objective_trace)
+        assert (np.diff(trace) >= -1e-9 * np.abs(trace[:-1])).all()
 
     @pytest.mark.parametrize("scenario", [v.value for v in Variant])
     def test_unreachable_gap_is_typed_failure(self, scenario):
