@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -307,20 +308,23 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        """Config-key flags set only the keys given (dest is the key)."""
         p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--output-dir")
-        p.add_argument("--scenarios", help="comma-separated scenario names")
-        p.add_argument("--anchor-k", type=int)
-        p.add_argument("--anchor-policy")
-        p.add_argument("--gains-csv")
-        p.add_argument("--rows", type=int, dest="grid_rows")
-        p.add_argument("--cols", type=int, dest="grid_cols")
-        p.add_argument("--ues", type=int, dest="n_ues")
+        key = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+        key("--seed", type=int)
+        key("--output-dir")
+        key("--scenarios", help="comma-separated scenario names",
+            type=lambda text: [s.strip() for s in text.split(",") if s.strip()])
+        key("--anchor-k", type=int)
+        key("--anchor-policy")
+        key("--gains-csv")
+        key("--rows", type=int, dest="grid_rows")
+        key("--cols", type=int, dest="grid_cols")
+        key("--ues", type=int, dest="n_ues")
 
     p_run = sub.add_parser("run", help="solve the configured scenarios")
     common(p_run)
-    p_run.add_argument("--dump-iterations", action="store_true", default=None)
+    p_run.add_argument("--dump-iterations", action="store_true", default=argparse.SUPPRESS)
 
     p_sweep = sub.add_parser("sweep", help="GM versus number of fiber drops")
     common(p_sweep)
@@ -332,19 +336,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _overrides_from(args) -> dict:
-    keys = ("seed", "output_dir", "anchor_k", "anchor_policy", "gains_csv",
-            "grid_rows", "grid_cols", "n_ues", "dump_iterations")
-    over = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "scenarios", None):
-        over["scenarios"] = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    return over
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config, _overrides_from(args))
+        cfg = load_config(args.config, {k: v for k, v in vars(args).items()
+                                        if k in _ALL_KEYS})
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "sweep":

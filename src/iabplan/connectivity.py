@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import ConnectivityError
 from .geometry import AnchorSet
@@ -156,64 +154,33 @@ def bfs_tree(n: int, edges: np.ndarray, seeds: np.ndarray, reverse: bool = False
     """Breadth-first tree from `seeds` (a mask or ids) over n nodes.
 
     Walks each row (i, j) of the (E, 2) `edges` from i to j, or from j to i
-    with `reverse`.  Seeds are visited in id order, each node's edges in id
-    order of their far end, so the tree path to a node is its
-    lexicographically least shortest path from a seed, and the discovery
-    order sorts the reached nodes by (depth, that path).  The edges must
-    be sorted by (i, j), as `np.argwhere` output or a subset of one is:
-    the tree is read off a CSR graph, whose rows scan in column order.
+    with `reverse`; the rows may come in any order.  Seeds are visited in
+    id order, each node's edges in id order of their far end, so the tree
+    path to a node is its lexicographically least shortest path from a
+    seed, and the discovery order sorts the reached nodes by (depth, that
+    path).
 
     Returns (pred, order): pred[v] indexes the tree edge into v (-1 at a
     seed or an unreached node), and order lists the reached nodes in
     discovery order, seeds first.
     """
-    edges = np.asarray(edges, dtype=np.int32).reshape(-1, 2)
-    is_seed = np.zeros(n, dtype=bool)
-    is_seed[seeds] = True
-    seeds = np.flatnonzero(is_seed).astype(np.int32)
-    src, dst = (edges[:, 1], edges[:, 0]) if reverse else edges.T
-    perm = np.argsort(src, kind="stable")
-    # a virtual source n feeds every seed; int32 indices spare csgraph a copy
-    src = np.concatenate([src[perm], np.full(seeds.size, n, dtype=np.int32)])
-    dst = np.concatenate([dst[perm], seeds])
-    key = src * np.int64(n + 1) + dst
-    if (key[1:] <= key[:-1]).any():
-        raise ValueError("bfs_tree needs distinct edges sorted by (tail, head)")
-    indptr = np.zeros(n + 2, dtype=np.int32)
-    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
-    graph = sp.csr_matrix((np.ones(src.size), dst, indptr), shape=(n + 1, n + 1))
-    order, parent = csgraph.breadth_first_order(graph, n, return_predecessors=True)
-    order = order[1:]
-    pred = np.full(n, -1)
-    tree = order[parent[order] != n]
-    pred[tree] = perm[np.searchsorted(key, parent[tree] * np.int64(n + 1) + tree)]
-    return pred, order
-
-
-def walks(n: int, edges: np.ndarray, seeds: np.ndarray, reverse: bool = False):
-    """Walks along the `bfs_tree` edges from every node back to its seed.
-
-    Returns the walk-count matrix P' as an (n_edges, n) CSC matrix, whose
-    column b counts the edges on b's walk, and the seed each walk ends at
-    (-1 where no walk exists).  P' @ counts then routes counts[b] units
-    from every node b.
-    """
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    pred, order = bfs_tree(n, edges, seeds, reverse)
-    pred, up = pred.tolist(), edges[:, 1 if reverse else 0].tolist()
-    walk = [[] for _ in range(n)]
-    end = np.full(n, -1)
-    for v in order.tolist():     # a tree edge's seed end `up` comes first
-        e = pred[v]
-        if e < 0:
-            end[v] = v
-        else:
-            walk[v] = [e, *walk[up[e]]]
-            end[v] = end[up[e]]
-    indptr = np.cumsum([0] + [len(w) for w in walk])
-    P_t = sp.csc_matrix((np.ones(indptr[-1]), [e for w in walk for e in w], indptr),
-                        shape=(edges.shape[0], n))
-    return P_t, end
+    tail, head = (edges[:, 1], edges[:, 0]) if reverse else edges.T
+    by_tail = np.lexsort((head, tail))
+    start = np.r_[0, np.cumsum(np.bincount(tail, minlength=n))].tolist()
+    heads, ids = head[by_tail].tolist(), by_tail.tolist()
+    seen = np.zeros(n, dtype=bool)
+    seen[seeds] = True
+    order, seen = np.flatnonzero(seen).tolist(), seen.tolist()
+    pred = [-1] * n
+    for v in order:              # the list grows into the queue as it is read
+        for k in range(start[v], start[v + 1]):
+            w = heads[k]
+            if not seen[w]:
+                seen[w] = True
+                pred[w] = ids[k]
+                order.append(w)
+    return np.array(pred, dtype=np.intp), np.array(order, dtype=np.intp)
 
 
 def reachable(adj: np.ndarray, seeds: np.ndarray) -> np.ndarray:

@@ -47,8 +47,8 @@ class BudgetConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, float) and not (
-                    isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(f.default, float) and (isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) and math.isfinite(value))):
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("polarization_loss_db", "alignment_error_db",
                      "implementation_loss_db", "atmospheric_db_per_km",

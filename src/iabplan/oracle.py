@@ -7,9 +7,10 @@ points that violate a backhaul capacity, fiber or resource row, and keep the
 best geometric mean found.
 
 Instances must have at most 6 time variables and a forest-shaped backhaul,
-so each UE has a single simple route per direction.  The routes come from
-the shared `connectivity.walks`; the solver uses those walks only to seed
-its start point, so the bracket stays independent of the solver's answer.
+so each UE has a single simple route per direction.  The routes follow the
+shared `connectivity.bfs_tree`; the solver routes along the same trees
+only to seed its start point, so the bracket stays independent of the
+solver's answer.
 Reverse-direction backhaul variables (present because availability is
 symmetric on tree edges) can only carry circulating flow, which never
 increases any rate; the oracle pins them to zero and searches the remaining
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .connectivity import walks
+from .connectivity import bfs_tree
 from .errors import OracleError
 from .problem import RateProblem
 
@@ -71,12 +72,19 @@ def _routes(problem: RateProblem):
     def paths(edges, bs, ue, reverse):
         """Per included UE (in id order): its access variable, the indicator
         column of its backhaul walk and the anchor the walk ends at."""
-        P_t, end = walks(B, edges, problem.anchors_y, reverse)
-        stuck = bs[end[bs] < 0]
+        pred, order = bfs_tree(B, edges, problem.anchors_y, reverse)
+        stuck = np.setdiff1d(bs, order)
         if stuck.size:
             raise OracleError(f"site {stuck[0]} has no route to an anchor")
         var = np.argsort(ue)
-        return var, P_t[:, bs[var]].toarray(), end[bs[var]]
+        up = edges[:, 1 if reverse else 0]
+        walk, end = np.zeros((edges.shape[0], bs.size)), bs[var]
+        for k, b in enumerate(end.tolist()):
+            while pred[b] >= 0:
+                walk[pred[b], k] = 1.0
+                b = up[pred[b]]
+            end[k] = b
+        return var, walk, end
 
     ul_var, p_ul, root_ul = paths(problem.ul_backhaul, ul_acc[:, 1], ul_acc[:, 0], True)
     dl_var, p_dl, root_dl = paths(problem.dl_backhaul, dl_acc[:, 0], dl_acc[:, 1], False)

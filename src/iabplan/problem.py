@@ -60,14 +60,15 @@ class RateProblem:
     dl_access: np.ndarray    # (nD, 2) rows of (bs, ue)
     ul_backhaul: np.ndarray  # (nBU, 2) rows of (i, j)
     dl_backhaul: np.ndarray  # (nBD, 2) rows of (i, j)
-    m_vars: list             # [(bs, "D"|"U"), ...]
+    m_bs: np.ndarray         # (nM,) anchor of each fiber variable
+    m_ul: np.ndarray         # (nM,) bool: the uplink half of that anchor's pipe
     cap: np.ndarray          # (nf,) normalized link capacities
     scale_bps: float         # bps per normalized flow unit
     fiber_norm: float        # normalized fiber pipe capacity
     G: sp.csr_matrix         # inequality lhs, G x <= h
     h: np.ndarray
     A: sp.csr_matrix         # equality lhs (full row rank), A x = 0
-    eq_labels: list          # (bs, "D"|"U") per kept equality row
+    eq_ul: np.ndarray        # bool per kept equality row: an uplink row
     U_mat: sp.csr_matrix     # (2 N', n) rate aggregation; rows: UL block, DL block
     ue_ids: np.ndarray       # (N',) included UE ids
     excluded: dict           # ue id -> "no_link" | "starved"
@@ -79,7 +80,12 @@ class RateProblem:
 
     @property
     def n_var(self) -> int:
-        return 2 * self.n_flow + len(self.m_vars)
+        return 2 * self.n_flow + self.m_bs.size
+
+    @property
+    def m_vars(self) -> list:
+        """[(bs, "D"|"U"), ...] per fiber variable."""
+        return [(bs, "DU"[ul]) for bs, ul in zip(self.m_bs.tolist(), self.m_ul.tolist())]
 
     @property
     def n_included(self) -> int:
@@ -199,9 +205,6 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     bh_dl = bh_ok & dl_reach[:, None] & dl_sinkable[None, :]
     bh_ul = bh_ok & ul_sourceable[:, None] & ul_reach[None, :]
 
-    m_vars = [(int(i), "D") for i in np.flatnonzero(y & dl_sinkable)]
-    m_vars += [(int(i), "U") for i in np.flatnonzero(y & ul_sourceable)]
-
     ul_access = np.argwhere(ul_ok)            # (ue, bs)
     dl_access = np.argwhere(dl_ok.T)          # (bs, ue)
     ul_backhaul = np.argwhere(bh_ul)
@@ -223,12 +226,13 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     fiber_norm = links.cfg.fiber_capacity_bps / scale
 
     nf = cap.size
-    nm = len(m_vars)
+    m_d, m_u = np.flatnonzero(y & dl_sinkable), np.flatnonzero(y & ul_sourceable)
+    m_bs = np.r_[m_d, m_u]
+    m_ul = np.repeat([False, True], [m_d.size, m_u.size])
+    nm = m_bs.size
     n = 2 * nf + nm
     k = np.arange(nf)
     m_col = 2 * nf + np.arange(nm)
-    m_bs = np.array([bs for bs, _d in m_vars], dtype=int)
-    m_ul = np.array([d == "U" for _bs, d in m_vars], dtype=int)
 
     # node-arc incidence, one entry per (flow, BS end): DL rows count
     # outflow minus inflow and UL rows inflow minus outflow, so a flow
@@ -263,7 +267,6 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
                       shape=(2 * B, n))
     kept = np.flatnonzero(A.getnnz(axis=1))
     A = A[kept]
-    eq_labels = [(int(r) // 2, "DU"[r % 2]) for r in kept]
 
     # --- objective aggregation --------------------------------------------
     ue_ids = np.flatnonzero(included)
@@ -276,8 +279,8 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
         n_bs=B, n_ue=U, anchors_y=y.copy(),
         ul_access=ul_access, dl_access=dl_access,
         ul_backhaul=ul_backhaul, dl_backhaul=dl_backhaul,
-        m_vars=m_vars, cap=cap, scale_bps=scale, fiber_norm=fiber_norm,
-        G=G, h=h, A=A, eq_labels=eq_labels, U_mat=U_mat,
+        m_bs=m_bs, m_ul=m_ul, cap=cap, scale_bps=scale, fiber_norm=fiber_norm,
+        G=G, h=h, A=A, eq_ul=kept % 2 == 1, U_mat=U_mat,
         ue_ids=ue_ids, excluded=excluded, row_slices=row_slices,
     )
 
@@ -313,22 +316,11 @@ def validate(problem: RateProblem, candidate, tol: float = 1e-8) -> ValidationRe
     viol = {}
     gx = problem.G @ x
     for family, slc in problem.row_slices.items():
-        raw = gx[slc] - problem.h[slc]
-        if raw.size == 0:
-            viol[family] = 0.0
-            continue
         denom = np.maximum(1.0, np.abs(problem.h[slc]))
-        viol[family] = float(np.maximum(raw / denom, 0.0).max())
+        viol[family] = float(((gx[slc] - problem.h[slc]) / denom).max(initial=0.0))
 
-    if problem.A.shape[0]:
-        ax = problem.A @ x
-        denom = np.maximum(1.0, np.abs(problem.A) @ np.abs(x))
-        resid = np.abs(ax) / denom
-        dl = [k for k, (_b, d) in enumerate(problem.eq_labels) if d == "D"]
-        ul = [k for k, (_b, d) in enumerate(problem.eq_labels) if d == "U"]
-        viol["conservation_dl"] = float(resid[dl].max()) if dl else 0.0
-        viol["conservation_ul"] = float(resid[ul].max()) if ul else 0.0
-    else:
-        viol["conservation_dl"] = viol["conservation_ul"] = 0.0
+    resid = np.abs(problem.A @ x) / np.maximum(1.0, np.abs(problem.A) @ np.abs(x))
+    viol["conservation_dl"] = float(resid[~problem.eq_ul].max(initial=0.0))
+    viol["conservation_ul"] = float(resid[problem.eq_ul].max(initial=0.0))
 
     return ValidationReport(violations=viol, tol=tol)

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .connectivity import walks
+from .connectivity import bfs_tree
 from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
 from .problem import RateProblem, validate
 
@@ -64,10 +64,12 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("feasibility_tol", "duality_gap_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0 < value < np.inf):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         value = self.max_inner_iters
-        if not (isinstance(value, numbers.Integral) and value >= 1):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                           and value >= 1):
             raise ConfigError(f"max_inner_iters must be an integer >= 1, got {value!r}")
 
 
@@ -121,12 +123,6 @@ class Solution:
         }
 
 
-def _incident_time_counts(problem: RateProblem) -> np.ndarray:
-    """Per time variable: the largest incident-variable count over its BSs."""
-    res = problem.G[problem.row_slices["resource"], problem.sl_time]
-    return (sp.diags(res.getnnz(axis=1), dtype=float) @ res).max(axis=0).toarray().ravel()
-
-
 def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
     """Interior starting point: 0.9-scaled uniform time split, routed flows.
 
@@ -137,52 +133,59 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
     """
     ul_acc, dl_acc = problem.ul_access, problem.dl_access
     ul_bh, dl_bh = problem.ul_backhaul, problem.dl_backhaul
-    nf, nm, B = problem.n_flow, len(problem.m_vars), problem.n_bs
-    na, nd, nbu = ul_acc.shape[0], dl_acc.shape[0], ul_bh.shape[0]
+    m_bs, m_ul, B = problem.m_bs, problem.m_ul, problem.n_bs
     anchors = np.flatnonzero(problem.anchors_y)
-    m_bs = np.array([bs for bs, _d in problem.m_vars], dtype=int)
-    m_ul = np.array([d == "U" for _bs, d in problem.m_vars], dtype=bool)
 
-    t = 0.9 / np.maximum(_incident_time_counts(problem), 1)
+    # each link's BS ends, per flow class in variable order
+    ends = [ul_acc[:, 1:], dl_acc[:, :1], ul_bh, dl_bh]
+    n_incident = np.bincount(np.concatenate([e.ravel() for e in ends]), minlength=B)
+    t = 0.9 / np.concatenate([n_incident[e].max(axis=1) for e in ends])
 
     def fail(msg):
         raise InfeasibleProblemError(f"cannot construct interior point: {msg}")
 
     def route(seeds, edges, reverse, starts, no_walk):
-        """One unit from each start (with repeats) along its canonical walk:
-        per-edge unit counts, and per-node counts of walks ending there."""
-        P_t, end = walks(B, edges, seeds, reverse)
-        n_start = np.bincount(starts, minlength=B)
-        stuck = np.flatnonzero(n_start * (end < 0))
+        """One unit from each start (with repeats) along its `bfs_tree`
+        walk: per-edge unit counts, and per-seed counts of walks ending there."""
+        pred, order = bfs_tree(B, edges, seeds, reverse)
+        up = edges[:, 1 if reverse else 0]
+        count = np.bincount(starts, minlength=B)
+        stuck = np.setdiff1d(np.flatnonzero(count), order)
         if stuck.size:
             fail(f"BS {stuck[0]} {no_walk}")
-        return P_t @ n_start, np.bincount(end[starts], minlength=B)
+        on_edge = np.zeros(edges.shape[0], dtype=int)
+        for v in order[::-1].tolist():       # children before parents
+            e = pred[v]
+            if e >= 0:
+                on_edge[e] = count[v]
+                count[up[e]] += count[v]
+        return on_edge, np.where(pred < 0, count, 0)
 
-    # walks: UL up to an anchor, DL down from an anchor, DL on to a
-    # UE-serving BS, UL back from a UE-serving BS
-    up_e, up_end = route(anchors, ul_bh, True, np.r_[ul_acc[:, 1], ul_bh[:, 1]],
-                         "has no uplink route to an anchor")
-    down_e, down_end = route(anchors, dl_bh, False, np.r_[dl_acc[:, 0], dl_bh[:, 0]],
-                             "has no downlink route from an anchor")
-    t_d, first_dl = np.unique(dl_acc[:, 0], return_index=True)
-    s_u, first_ul = np.unique(ul_acc[:, 1], return_index=True)
-    sink_e, sink_end = route(t_d, dl_bh, True, np.r_[dl_bh[:, 1], m_bs[~m_ul]],
-                             "cannot dispose of downlink flow")
-    src_e, src_end = route(s_u, ul_bh, False, np.r_[ul_bh[:, 0], m_bs[m_ul]],
-                           "receives no uplink flow")
+    def direction(acc_bs, bh, fiber_bs, name):
+        """Route one direction whose backhaul `bh` points away from the
+        anchors: a unit down from an anchor to every access BS and backhaul
+        tail, and one on from every backhaul head and fiber BS to an access
+        BS.  Returns the units per access flow and per backhaul flow, and
+        per anchor the walks that end there."""
+        down_e, down_end = route(anchors, bh, False, np.r_[acc_bs, bh[:, 0]],
+                                 f"is cut off from the anchors on the {name}")
+        sinks, first = np.unique(acc_bs, return_index=True)
+        sink_e, sink_end = route(sinks, bh, True, np.r_[bh[:, 1], fiber_bs],
+                                 f"is cut off from the served UEs on the {name}")
+        acc = np.ones(acc_bs.size)
+        acc[first] += sink_end[sinks]     # a sink walk ends in its BS's first access flow
+        return acc, 1.0 + down_e + sink_e, down_end
 
-    flow = np.ones(nf)
-    flow[na + nd:na + nd + nbu] += up_e + src_e
-    flow[na + nd + nbu:] += down_e + sink_e
-    # a sink or source walk ends in its BS's first access flow
-    flow[na + first_dl] += sink_end[t_d]
-    flow[first_ul] += src_end[s_u]
-    m_cnt = 1.0 + np.where(m_ul, up_end[m_bs], down_end[m_bs])
-    if m_cnt.sum() - nm != up_end.sum() + down_end.sum():
+    # uplink is downlink on the reversed backhaul
+    acc_u, bh_u, end_u = direction(ul_acc[:, 1], ul_bh[:, ::-1], m_bs[m_ul], "uplink")
+    acc_d, bh_d, end_d = direction(dl_acc[:, 0], dl_bh, m_bs[~m_ul], "downlink")
+    flow = np.r_[acc_u, acc_d, bh_u, bh_d]
+    m_cnt = 1.0 + np.where(m_ul, end_u[m_bs], end_d[m_bs])
+    if m_cnt.sum() - m_bs.size != end_u.sum() + end_d.sum():
         fail("an anchor walk ends at an anchor with no fiber variable")
 
     sigma = 0.5 * np.min(t * problem.cap / flow)
-    busiest = np.bincount(m_bs, weights=m_cnt, minlength=B).max() if nm else 0.0
+    busiest = np.bincount(m_bs, weights=m_cnt, minlength=B).max() if m_bs.size else 0.0
     if busiest > 0:
         sigma = min(sigma, 0.45 * problem.fiber_norm / busiest)
     if sigma <= 0:

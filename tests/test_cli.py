@@ -92,6 +92,7 @@ def test_removed_solver_keys_are_unknown(tmp_path, capsys, key):
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--k-list", "1"], ["verify"]])
 @pytest.mark.parametrize("key, value", [
     ("duality_gap_tol", 0), ("duality_gap_tol", float("nan")), ("max_inner_iters", 0),
+    ("max_inner_iters", True),
 ])
 def test_bad_solver_setting_is_config_error(tmp_path, capsys, command, key, value):
     cfg = write_config(tmp_path, **{key: value})
@@ -106,6 +107,7 @@ def test_bad_solver_setting_is_config_error(tmp_path, capsys, command, key, valu
     ("grid_rows", 2.5), ("grid_cols", None), ("n_ues", 30.5), ("anchor_k", "7"),
     ("anchor_k", True), ("seed", "1"), ("inter_site_m", "200"),
     ("street_width_m", float("inf")), ("dump_iterations", "yes"),
+    ("bandwidth_hz", True),
 ])
 def test_bad_budget_value_is_config_error(tmp_path, capsys, command, key, value):
     cfg = write_config(tmp_path, **{key: value})
@@ -199,6 +201,33 @@ def test_starved_ues_reported_on_stderr(tmp_path, capsys):
     assert "[iab_mesh_ss] 1 UE(s) starved" in capsys.readouterr().err
     sol = json.loads((tmp_path / "out" / "solution_iab_mesh_ss.json").read_text())
     assert sol["excluded_ues"] == {"1": "starved"}
+
+
+def test_no_servable_ue_is_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_ues=0)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("infeasible: no servable UEs")
+
+
+def test_iteration_cap_is_exit_three(tmp_path, capsys):
+    cfg = write_config(tmp_path, max_inner_iters=1)
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("no convergence: ")
+
+
+def test_dump_iterations_writes_objective_trace(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--dump-iterations"]) == 0
+    out = tmp_path / "out"
+    for name in ("access_ss", "iab_mesh_ss"):
+        cert = json.loads((out / f"solution_{name}.json").read_text())["certificate"]
+        lines = (out / f"iterations_{name}.csv").read_text().splitlines()
+        assert lines[0] == "outer_iter,objective_log"
+        assert len(lines) - 1 == cert["outer_iters"] == len(cert["objective_trace"])
+        for it, (line, obj) in enumerate(zip(lines[1:], cert["objective_trace"])):
+            k, value = line.split(",")
+            assert int(k) == it
+            assert float(value) == pytest.approx(obj, rel=1e-11)
 
 
 def test_manual_list_without_list_is_config_error(tmp_path, capsys):

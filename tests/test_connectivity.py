@@ -191,9 +191,18 @@ class TestBfsTree:
         for v in order[pred[order] >= 0]:
             assert (edges[pred[v]][::-1] == edges_t[pred_t[v]]).all()
 
-    def test_unsorted_edges_rejected(self):
-        with pytest.raises(ValueError):
-            bfs_tree(3, np.array([[0, 2], [0, 1]]), np.array([0]))
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 9), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_edge_order_does_not_matter(self, n, density, seed, reverse):
+        adj, seeds = random_digraph(n, density, seed)
+        edges = np.argwhere(adj)
+        perm = np.random.default_rng(seed).permutation(edges.shape[0])
+        pred, order = bfs_tree(n, edges, seeds, reverse)
+        pred_p, order_p = bfs_tree(n, edges[perm], seeds, reverse)
+        assert order_p.tolist() == order.tolist()
+        assert ((pred_p >= 0) == (pred >= 0)).all()
+        assert (perm[pred_p[pred_p >= 0]] == pred[pred >= 0]).all()
 
 
 class TestSpanningTree:

@@ -186,6 +186,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("kw", [
         {"feasibility_tol": -1e-9}, {"feasibility_tol": float("inf")},
         {"duality_gap_tol": "1e-6"}, {"max_inner_iters": 2.5},
+        {"max_inner_iters": True}, {"duality_gap_tol": True},
     ])
     def test_bad_settings_are_config_errors(self, kw):
         with pytest.raises(ConfigError):
