@@ -195,97 +195,155 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
 
 
 class _NewtonSystem:
-    """Regularized augmented KKT system of the Newton step, in slack
-    coordinates, factored in one fill-reducing order per solve.
+    """Regularized augmented KKT system of the Newton step with the capacity
+    slacks eliminated in closed form, factored in one fill-reducing order
+    per solve.
 
-    Unknowns dy = (dsigma, dt, dm) with sigma_k = c_k t_k - f_k, so dx = T dy,
-    then z for the rate, resource and fiber rows and w for A.  The system
-    [[K, B'], [B, -diag(r^2, s_c/lam_c, 0)]] with B = [U; G_c; A] T reduces to
-    [[H, A'], [A, 0]] but never forms a resource row's dense rank-one block:
-    K holds only per-link 2x2 blocks and diagonals.  Slack coordinates keep a
-    tight capacity row's barrier term alone on the sigma diagonal; in (f, t)
-    it cancels in the t pivot.  Relies on assemble's row layout: capacity
-    row k is f_k - c_k t_k and nonnegativity row i is -x_i.
+    In slack coordinates sigma_k = c_k t_k - f_k the unknowns are
+    dy = (dsigma, dt, dm), so dx = (c dt - dsigma, dt, dm), and z for the
+    rows R = [U; G_c; A], whose diagonal block is -D = -diag(r^2, s_c/lam_c, 0).
+    With a = lam/s on capacity row k and d_f, d_t, d_m the nonnegativity
+    weights of f, t and m, dsigma_k meets only its own diagonal a + d_f,
+    its t_k entry -c d_f and R's f_k column R_f, so it is eliminated exactly:
 
-    The factored matrix adds +_REG on the dy diagonal and -_REG on every row
-    diagonal, which makes it quasidefinite: it factors without pivoting
-    under any symmetric order.  So one minimum-degree order of the pattern,
-    taken once here, is folded into the stored pattern, each step factors in
-    that order with narrow SuperLU panels, and iterative refinement against
-    the unregularized matrix recovers its step.  See docs/solver_notes.md,
-    "Augmented system" to "Refinement".
+        dsigma = (g_sigma + c d_f dt + R_f' z) / (a + d_f).
+
+    The factored matrix holds only (dt, dm, z): t_k's pivot is
+    d_t + c^2 d_f a/(a + d_f), t_k's entries on f_k's rows are R_f's scaled
+    by c a/(a + d_f), and the row block is -(D + R_f diag(1/(a + d_f)) R_f').
+    A tight capacity row's huge a never meets d_t in a difference, so
+    nothing cancels.  Relies on assemble's row layout: capacity row k is
+    f_k - c_k t_k and nonnegativity row i is -x_i.
+
+    The pattern, and one sparse map from the per-link weights to its values,
+    are built here.  The factored matrix adds +_REG on the (dt, dm) diagonal
+    and -_REG on every row diagonal, which makes it quasidefinite: it
+    factors without pivoting under any symmetric order.  The first step
+    factors in SuperLU's minimum-degree order, which is then folded into the
+    stored pattern, and every later step factors in that order.  Refinement
+    against the unregularized system recovers the step.  See
+    docs/solver_notes.md, "Augmented system" to "Refinement".
     """
 
     def __init__(self, problem: RateProblem):
         nf, n, rs = problem.n_flow, problem.n_var, problem.row_slices
         self.problem = problem
         self.sl_c = slice(rs["resource"].start, rs["fiber"].stop)
-        k, j = np.arange(nf), np.arange(2 * nf, n)
-        self.T = sp.csr_matrix(
-            (np.r_[-np.ones(nf), problem.cap, np.ones(n - nf)],
-             (np.r_[k, k, nf + k, j], np.r_[k, nf + k, nf + k, j])), shape=(n, n))
         # stored transposes: a .T per product builds a new sparse object
-        self.T_t = self.T.T.tocsr()
         self.G_t, self.U_t = problem.G.T.tocsr(), problem.U_mat.T.tocsr()
-        B = sp.vstack([problem.U_mat, problem.G[self.sl_c], problem.A]) @ self.T
-        B = B.tocoo()
-        self.size = n + B.shape[0]
+        self.R = sp.vstack([problem.U_mat, problem.G[self.sl_c], problem.A], format="csr")
+        self.R_t = self.R.T.tocsr()
+        self.R_f, self.R_f_t = self.R[:, :nf].tocsr(), self.R_t[:nf]
+        nt, n_row = n - nf, self.R.shape[0]
+        self.size = nt + n_row
         self.n_eq = problem.A.shape[0]
-        sign = np.r_[np.ones(n), -np.ones(B.shape[0])]
-        self._reg = _REG * sign
-        # value slots: the diagonal in matrix order, then sigma-t, then B
-        diag, st = np.arange(self.size), self.size + k
-        b = self.size + nf + np.arange(B.nnz)
-        rows = np.r_[diag, k, nf + k, n + B.row, B.col]
-        cols = np.r_[diag, nf + k, k, B.col, n + B.row]
-        src = np.r_[diag, st, st, b, b]
-        self._b = B.data
-        # the order depends on the pattern only; these values are quasidefinite
-        placeholder = sp.csc_matrix(
-            (np.r_[sign, np.full(nf, 0.5), B.data][src], (rows, cols)),
-            shape=(self.size, self.size))
-        perm = spla.splu(placeholder, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                         relax=_LU_RELAX, panel_size=_LU_PANEL,
-                         options={"SymmetricMode": True}).perm_c
-        rows, cols = perm[rows], perm[cols]
-        order = np.lexsort((rows, cols))
-        self._src = src[order]
-        # unknown i sits at row perm[i] of the stored matrix
-        self._dy, self._w = perm[:n], perm[self.size - self.n_eq:]
+        self._reg = _REG * np.r_[np.ones(nt), -np.ones(self.size - nt)]
+
+        # value = sum of coef * weight[w] over the slot's terms, the weights
+        # being (t pivots, d_m, c a/(a + d_f), 1/(a + d_f), D, 1)
+        o_cq, o_inv, o_d, one = nt, n, n + nf, n + nf + n_row
+        ent = self.R.tocoo()
+        f = ent.col < nf
+        pos = np.where(f, ent.col, ent.col - nf)        # f_k's and t_k's entries go to dt_k
+        w_ent = np.where(f, o_cq + ent.col, one)
+        fr, fc, fv = nt + ent.row[f], ent.col[f], ent.data[f]
+        in_col = sp.csr_matrix((np.ones(fc.size), (np.arange(fc.size), fc)),
+                               shape=(fc.size, nf))
+        pair = (in_col @ in_col.T).tocoo()              # entries sharing an f column
+        diag = np.arange(self.size)
+        rows = np.r_[diag, diag, pos, nt + ent.row, fr[pair.row]]
+        cols = np.r_[diag, diag, nt + ent.row, pos, fr[pair.col]]
+        widx = np.r_[diag[:nt], o_d + np.arange(n_row), np.full(self.size, one),
+                     w_ent, w_ent, o_inv + fc[pair.row]]
+        coef = np.r_[np.ones(nt), -np.ones(n_row), self._reg, ent.data, ent.data,
+                     -fv[pair.row] * fv[pair.col]]
+        key, slot = np.unique(cols * self.size + rows, return_inverse=True)
+        self._map = sp.csr_matrix((coef, (slot, widx)), shape=(key.size, one + 1))
+        self._ordered = False
+        self._store(key % self.size, key // self.size, np.arange(self.size))
+
+    def _store(self, rows, cols, pos):
+        """Keep the pattern in CSC order, with unknown i at row and column pos[i]."""
+        self._pos = pos
         self._reg_perm = np.empty(self.size)
-        self._reg_perm[perm] = self._reg
+        self._reg_perm[pos] = self._reg
         self.kkt = sp.csc_matrix(
-            (np.zeros(order.size), rows[order],
-             np.searchsorted(cols[order], np.arange(self.size + 1))),
+            (np.zeros(rows.size), rows, np.searchsorted(cols, np.arange(self.size + 1))),
             shape=(self.size, self.size))
 
-    def solve(self, s: np.ndarray, r: np.ndarray, lam: np.ndarray, grad: np.ndarray):
+    def _fold(self, perm):
+        """Fold the first factor's column order into the stored pattern."""
+        natural = self.kkt.tocoo()
+        rows, cols = perm[natural.row], perm[natural.col]
+        order = np.argsort(cols * self.size + rows)
+        self._map = self._map[order]
+        self._ordered = True
+        self._store(rows[order], cols[order], perm)
+
+    def solve(self, s: np.ndarray, r: np.ndarray, lam: np.ndarray, grad: np.ndarray,
+              full: bool = True):
         """Newton step (dx, w) at slacks s = h - Gx, rates r = Ux and
-        inequality multipliers lam, with row weights lam / s."""
+        inequality multipliers lam, with row weights lam / s, or None when
+        SuperLU finds the factor singular.  With `full`, _REFINE_PASSES
+        passes refine the step against the whole unregularized system,
+        dsigma rows included; without, one pass refines it in the reduced
+        system."""
         p = self.problem
-        nf, c = p.n_flow, p.cap
+        nf, n, c = p.n_flow, p.n_var, p.cap
+        nt = n - nf
         wt = lam / s
         d = wt[p.row_slices["nonneg"]]
         a = wt[p.row_slices["flow_capacity"]]
-        vals = np.concatenate([a + d[:nf], c * c * d[:nf] + d[nf:2 * nf], d[2 * nf:],
-                               -r ** 2, -1.0 / wt[self.sl_c], np.zeros(self.n_eq),
-                               -c * d[:nf], self._b])
-        vals[:self.size] += self._reg
-        self.kkt.data[:] = vals[self._src]
-        lu = spla.splu(self.kkt, permc_spec="NATURAL", diag_pivot_thresh=0,
-                       relax=_LU_RELAX, panel_size=_LU_PANEL)
-        rhs = np.zeros(self.size)
-        rhs[self._dy] = -(self.T_t @ grad)
-        sol = self._refine(lu, rhs)
-        return self.T @ sol[self._dy], sol[self._w]
+        d_f, d_t, d_m = d[:nf], d[nf:2 * nf], d[2 * nf:]
+        inv = 1.0 / (a + d_f)
+        cq = c * a * inv
+        row_d = np.concatenate([r ** 2, 1.0 / wt[self.sl_c], np.zeros(self.n_eq)])
+        kkt, pos, reg = self.kkt, self._pos, self._reg_perm
+        kkt.data[:] = self._map @ np.concatenate(
+            [d_t + c * d_f * cq, d_m, cq, inv, row_d, [1.0]])
+        order = ({"permc_spec": "NATURAL"} if self._ordered else
+                 {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}})
+        try:
+            lu = spla.splu(kkt, diag_pivot_thresh=0, relax=_LU_RELAX,
+                           panel_size=_LU_PANEL, **order)
+        except RuntimeError:             # SuperLU: "Factor is exactly singular"
+            return None
+        if not self._ordered:
+            self._fold(lu.perm_c)
 
-    def _refine(self, lu, rhs):
-        """Solve the unregularized system kkt - diag(reg) with the regularized
-        factor by _REFINE_PASSES passes of iterative refinement."""
-        sol = lu.solve(rhs)
-        for _ in range(_REFINE_PASSES):
-            sol += lu.solve(rhs - self.kkt @ sol + self._reg_perm * sol)
-        return sol
+        def eliminated(g, passes):
+            """Solve the full system, with +-_REG on every diagonal but
+            dsigma's, for g = (g_sigma, g_t, g_m, g_z): reduce, solve with
+            `passes` refinement passes in the reduced system, back-substitute."""
+            g_s, b = g[:nf], g[nf:].copy()
+            b[:nf] += c * d_f * inv * g_s
+            b[nt:] += self.R_f @ (inv * g_s)
+            b_perm = np.empty(self.size)
+            b_perm[pos] = b
+            y = lu.solve(b_perm)
+            for _ in range(passes):
+                y += lu.solve(b_perm - kkt @ y + reg * y)
+            y = y[pos]
+            return np.concatenate([inv * (g_s + c * d_f * y[:nf] + self.R_f_t @ y[nt:]), y])
+
+        def residual(v, g):
+            """g minus the unregularized full system times v = (dsigma, dt, dm, z)."""
+            sigma, t, z = v[:nf], v[nf:2 * nf], v[n:]
+            y = self.R_t @ z
+            dx = np.concatenate([c * t - sigma, v[nf:n]])
+            return g - np.concatenate([
+                (a + d_f) * sigma - c * d_f * t - y[:nf],
+                (c * c * d_f + d_t) * t - c * d_f * sigma + c * y[:nf] + y[nf:2 * nf],
+                d_m * v[2 * nf:n] + y[2 * nf:],
+                self.R @ dx - row_d * z])
+
+        # the Newton right-hand side in slack coordinates, zero on the rows
+        g = np.concatenate([grad[:nf], -(c * grad[:nf] + grad[nf:2 * nf]), -grad[2 * nf:],
+                            np.zeros(row_d.size)])
+        v = eliminated(g, 0 if full else 1)
+        for _ in range(_REFINE_PASSES if full else 0):
+            v += eliminated(residual(v, g), 0)
+        return np.concatenate([c * v[nf:2 * nf] - v[:nf], v[nf:n]]), v[-self.n_eq:]
 
 
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
@@ -298,15 +356,18 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
-            lam: np.ndarray, tau: float, tol: float, max_iters: int,
+            lam: np.ndarray, tau: float, last: bool, max_iters: int,
             newton: _NewtonSystem):
     """Newton iterations for one barrier subproblem from the interior point x
     with slacks s = h - Gx, rates r = Ux and inequality multipliers lam > 0.
+    The last centering stops at the decrement `_NEWTON_TOL` and refines each
+    step against the full system; the others stop at `_PATH_TOL` and take
+    one reduced refinement pass.
 
     Returns (x, s, r, lam, w, iters, failure): the last iterate with its
     carried slacks, rates and multipliers, the conservation multipliers,
     the number of damped steps taken, and None or the reason centering
-    stopped short (iteration cap, failed line search).
+    stopped short (iteration cap, failed line search, singular factor).
 
     Minimizes psi = F + phi/tau (the 1/tau scaling keeps values and
     gradients at the scale of F for any tau, so line-search comparisons
@@ -329,6 +390,8 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
     last iterate.
     """
     G, U, G_t, U_t = problem.G, problem.U_mat, newton.G_t, newton.U_t
+    tol = _NEWTON_TOL if last else _PATH_TOL
+    w = np.zeros(newton.n_eq)      # returned as is if the first factor is singular
 
     def barrier_value(s, r):
         return -np.log(r).sum() - np.log(s).sum() / tau
@@ -337,7 +400,10 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
         inv_s = 1.0 / s
         inv_r = 1.0 / r
         grad = G_t @ (inv_s / tau) - U_t @ inv_r
-        dx, w = newton.solve(s, r, lam, grad)
+        step = newton.solve(s, r, lam, grad, full=last)
+        if step is None:
+            return x, s, r, lam, w, it, "singular Newton matrix"
+        dx, w = step
         g_dx = G @ dx
         u_dx = U @ dx
         d_lam = inv_s / tau - lam + lam * inv_s * g_dx
@@ -404,8 +470,7 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     while True:
         last = m_ineq / tau <= gap_target_abs
         x, s, r, lam, w, inner, failure = _center(
-            problem, x, s, r, lam, tau, _NEWTON_TOL if last else _PATH_TOL,
-            cfg.max_inner_iters, newton)
+            problem, x, s, r, lam, tau, last, cfg.max_inner_iters, newton)
         inner_total += inner
         trace.append(problem.objective_log(x))
         if failure or last:

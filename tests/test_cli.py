@@ -215,6 +215,16 @@ def test_iteration_cap_is_exit_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("no convergence: ")
 
 
+def test_tight_gap_failure_is_exit_three(tmp_path, capsys):
+    # 1e-9 is below what this instance certifies: the solve ends in a typed
+    # failure (its final point fails the KKT check) and the CLI exits 3,
+    # never with a traceback
+    cfg = write_config(tmp_path, duality_gap_tol=1e-9, grid_rows=2, grid_cols=3,
+                       n_ues=30, seed=4, anchor_k=1, scenarios=["iab_mesh_lb"])
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("no convergence: ")
+
+
 def test_dump_iterations_writes_objective_trace(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["run", "--config", str(cfg), "--dump-iterations"]) == 0

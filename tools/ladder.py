@@ -15,10 +15,12 @@ Each set prints one JSON line: solves, certified solves, Newton steps
 Newton steps of any one solve, the smallest returned multiplier, the
 largest ratio of the measured complementarity gap (`check_kkt`'s
 comp_gap_rel) to the central-path one (`gap_rel`), the largest relative
-dip of an objective trace, and a digest of the GMs rounded to 9
-significant digits.  `--gms` writes every GM to a JSON file, and
-`--against` adds the largest relative GM difference from such a file.
-The city set takes about a minute; the ladder is tooling, not a test.
+dip of an objective trace, a digest of the GMs rounded to 9 significant
+digits, the set's wall seconds (building and solving every instance) and
+the largest L+U nonzero count of any SuperLU factor.  `--gms` writes every
+GM to a JSON file, and `--against` adds the largest relative GM difference
+from such a file.  The city set takes 8-17 s on a 2-CPU VM; the ladder is
+tooling, not a test.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -67,7 +71,22 @@ def solves(instances):
 def summarize(name, instances, reference):
     # solve returns only certified answers; a failure leaves sol None
     gms, steps, worst_stat, longest, lam_min, gap_ratio, dip = {}, 0, 0.0, 0, np.inf, 0.0, 0.0
-    for label, sol, cert in solves(instances):
+    factor_nnz, original = 0, spla.splu
+
+    def splu(*args, **kwargs):
+        nonlocal factor_nnz
+        lu = original(*args, **kwargs)
+        factor_nnz = max(factor_nnz, lu.nnz)
+        return lu
+
+    start = time.perf_counter()
+    spla.splu = splu
+    try:
+        results = list(solves(instances))
+    finally:
+        spla.splu = original
+    seconds = time.perf_counter() - start
+    for label, sol, cert in results:
         steps += cert.inner_iters + cert.outer_iters
         longest = max(longest, cert.inner_iters)
         trace = np.asarray(cert.objective_trace)
@@ -85,7 +104,8 @@ def summarize(name, instances, reference):
             "certified": len(gms), "newton_steps": steps,
             "worst_stationarity": worst_stat, "largest_inner_iters": longest,
             "lam_min": lam_min, "comp_gap_over_gap_rel_max": gap_ratio,
-            "trace_dip_max": dip, "gm_digest": digest[:16]}
+            "trace_dip_max": dip, "gm_digest": digest[:16],
+            "seconds": round(seconds, 2), "factor_nnz_max": factor_nnz}
     if reference is not None:
         ref = reference.get(name, {})
         common = sorted(set(gms) & set(ref))
