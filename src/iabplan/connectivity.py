@@ -167,7 +167,7 @@ def bfs_tree(n: int, edges: np.ndarray, seeds: np.ndarray, reverse: bool = False
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     tail, head = (edges[:, 1], edges[:, 0]) if reverse else edges.T
     by_tail = np.lexsort((head, tail))
-    start = np.r_[0, np.cumsum(np.bincount(tail, minlength=n))].tolist()
+    start = [0] + np.cumsum(np.bincount(tail, minlength=n)).tolist()
     heads, ids = head[by_tail].tolist(), by_tail.tolist()
     seen = np.zeros(n, dtype=bool)
     seen[seeds] = True

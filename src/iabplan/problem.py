@@ -161,6 +161,20 @@ class RateProblem:
                 fh.write(f"ue{ue}: {ul} / {dl}\n")
 
 
+def t_matvec(mat: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+    """mat' y, summed in the order mat.T @ y sums, without building mat.T."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    return np.bincount(mat.indices, weights=mat.data * y[rows], minlength=mat.shape[1])
+
+
+def stack_rows(blocks, n_col: int) -> sp.csr_matrix:
+    """CSR matrix of row blocks (indptr, indices, data); indptr may be a window."""
+    ends = np.cumsum([0] + [p[-1] - p[0] for p, _i, _d in blocks])
+    indptr = np.concatenate([[0]] + [p[1:] - p[0] + e for (p, _i, _d), e in zip(blocks, ends)])
+    data, indices = (np.concatenate([b[k][b[0][0]:b[0][-1]] for b in blocks]) for k in (2, 1))
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_col))
+
+
 def assemble(links: LinkTable, pattern: ConnectivityPattern,
              anchors: AnchorSet) -> RateProblem:
     """Build the RateProblem for one scenario.
@@ -212,13 +226,14 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     na, nd = ul_access.shape[0], dl_access.shape[0]
 
     # per-flow BS endpoints in variable order, -1 at a UE end
-    tail = np.r_[np.full(na, -1), dl_access[:, 0], ul_backhaul[:, 0], dl_backhaul[:, 0]]
-    head = np.r_[ul_access[:, 1], np.full(nd, -1), ul_backhaul[:, 1], dl_backhaul[:, 1]]
+    bh = np.concatenate([ul_backhaul, dl_backhaul])
+    tail = np.concatenate([np.full(na, -1), dl_access[:, 0], bh[:, 0]])
+    head = np.concatenate([ul_access[:, 1], np.full(nd, -1), bh[:, 1]])
     is_ul = np.repeat([1, 0, 1, 0], [na, nd, ul_backhaul.shape[0], dl_backhaul.shape[0]])
 
-    cap_bps = np.r_[links.cap_ub[ul_access[:, 0], ul_access[:, 1]],
-                    links.cap_bu[dl_access[:, 0], dl_access[:, 1]],
-                    links.cap_bb[tail[na + nd:], head[na + nd:]]].astype(float)
+    cap_bps = np.concatenate([links.cap_ub[ul_access[:, 0], ul_access[:, 1]],
+                              links.cap_bu[dl_access[:, 0], dl_access[:, 1]],
+                              links.cap_bb[bh[:, 0], bh[:, 1]]]).astype(float)
     if cap_bps.size == 0 or cap_bps.max() <= 0:
         raise InfeasibleProblemError("no usable link capacity")
     scale = float(cap_bps.max())
@@ -227,7 +242,7 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
 
     nf = cap.size
     m_d, m_u = np.flatnonzero(y & dl_sinkable), np.flatnonzero(y & ul_sourceable)
-    m_bs = np.r_[m_d, m_u]
+    m_bs = np.concatenate([m_d, m_u])
     m_ul = np.repeat([False, True], [m_d.size, m_u.size])
     nm = m_bs.size
     n = 2 * nf + nm
@@ -236,23 +251,25 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
 
     # node-arc incidence, one entry per (flow, BS end): DL rows count
     # outflow minus inflow and UL rows inflow minus outflow, so a flow
-    # enters with +1 at a DL tail or an UL head and -1 at the other end
-    end = np.r_[tail, head]
+    # enters with +1 at a DL tail or an UL head and -1 at the other end; a
+    # flow's two ends sit side by side, so each row lists its columns in order
+    end = np.stack([tail, head], axis=1).ravel()
     at_bs = end >= 0
-    node, col = end[at_bs], np.r_[k, k][at_bs]
+    node, col = end[at_bs], np.repeat(k, 2)[at_bs]
     out = 1.0 - 2 * is_ul
-    sign = np.r_[out, -out][at_bs]
+    sign = np.stack([out, -out], axis=1).ravel()[at_bs]
 
-    # --- inequalities -----------------------------------------------------
-    capacity = sp.csr_matrix((np.r_[np.ones(nf), -cap], (np.r_[k, k], np.r_[k, nf + k])),
-                             shape=(nf, n))
-    resource = sp.csr_matrix((np.ones(node.size), (node, nf + col)), shape=(B, n))
-    resource = resource[np.flatnonzero(resource.getnnz(axis=1))]
+    # --- inequalities: f - c t <= 0, resource and fiber rows, -x <= 0 -----
     fiber_bs, fiber_row = np.unique(m_bs, return_inverse=True)
-    fiber = sp.csr_matrix((np.ones(nm), (fiber_row, m_col)), shape=(fiber_bs.size, n))
-    G = sp.vstack([capacity, resource, fiber, -sp.identity(n, format="csr")], format="csr")
-    n_res, n_fib = resource.shape[0], fiber_bs.size
-    h = np.r_[np.zeros(nf), np.ones(n_res), np.full(n_fib, fiber_norm), np.zeros(n)]
+    res_fib = sp.csr_matrix((np.ones(node.size + nm), (np.concatenate([node, B + fiber_row]),
+                             np.concatenate([nf + col, m_col]))), shape=(B + fiber_bs.size, n))
+    res_ptr = np.unique(res_fib.indptr)        # drops the rows of BSs with no link
+    n_res, n_fib = res_ptr.size - 1 - fiber_bs.size, fiber_bs.size
+    G = stack_rows([(2 * np.arange(nf + 1), np.stack([k, nf + k], axis=1).ravel(),
+                     np.stack([np.ones(nf), -cap], axis=1).ravel()),
+                    (res_ptr, res_fib.indices, res_fib.data),
+                    (np.arange(n + 1), np.arange(n), -np.ones(n))], n)
+    h = np.concatenate([np.zeros(nf), np.ones(n_res), np.full(n_fib, fiber_norm), np.zeros(n)])
     o = np.cumsum([0, nf, n_res, n_fib, n]).tolist()
     row_slices = {
         "flow_capacity": slice(o[0], o[1]),
@@ -262,16 +279,16 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     }
 
     # --- equalities: flow conservation, row 2b (DL) and 2b + 1 (UL) -------
-    A = sp.csr_matrix((np.r_[sign, -np.ones(nm)],
-                       (np.r_[2 * node + is_ul[col], 2 * m_bs + m_ul], np.r_[col, m_col])),
-                      shape=(2 * B, n))
-    kept = np.flatnonzero(A.getnnz(axis=1))
-    A = A[kept]
+    A = sp.csr_matrix((np.concatenate([sign, -np.ones(nm)]),
+                       (np.concatenate([2 * node + is_ul[col], 2 * m_bs + m_ul]),
+                        np.concatenate([col, m_col]))), shape=(2 * B, n))
+    kept = np.flatnonzero(np.diff(A.indptr))      # drop the empty rows through indptr
+    A = sp.csr_matrix((A.data, A.indices, np.unique(A.indptr)), shape=(kept.size, n))
 
     # --- objective aggregation --------------------------------------------
     ue_ids = np.flatnonzero(included)
     n_inc = ue_ids.size
-    ue_row = np.searchsorted(ue_ids, np.r_[ul_access[:, 0], dl_access[:, 1]])
+    ue_row = np.searchsorted(ue_ids, np.concatenate([ul_access[:, 0], dl_access[:, 1]]))
     U_mat = sp.csr_matrix((np.ones(na + nd), (ue_row + np.repeat([0, n_inc], [na, nd]),
                                               np.arange(na + nd))), shape=(2 * n_inc, n))
 
@@ -313,13 +330,14 @@ def validate(problem: RateProblem, candidate, tol: float = 1e-8) -> ValidationRe
     if x.shape != (problem.n_var,):
         raise ValueError(f"candidate has shape {x.shape}, expected ({problem.n_var},)")
 
-    viol = {}
-    gx = problem.G @ x
-    for family, slc in problem.row_slices.items():
-        denom = np.maximum(1.0, np.abs(problem.h[slc]))
-        viol[family] = float(((gx[slc] - problem.h[slc]) / denom).max(initial=0.0))
+    excess = (problem.G @ x - problem.h) / np.maximum(1.0, np.abs(problem.h))
+    viol = {family: float(excess[slc].max(initial=0.0))
+            for family, slc in problem.row_slices.items()}
 
-    resid = np.abs(problem.A @ x) / np.maximum(1.0, np.abs(problem.A) @ np.abs(x))
+    A = problem.A      # |A| |x| row by row, in the order A @ x sums
+    entering = np.bincount(np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)),
+                           weights=np.abs(A.data * x[A.indices]), minlength=A.shape[0])
+    resid = np.abs(A @ x) / np.maximum(1.0, entering)
     viol["conservation_dl"] = float(resid[~problem.eq_ul].max(initial=0.0))
     viol["conservation_ul"] = float(resid[problem.eq_ul].max(initial=0.0))
 

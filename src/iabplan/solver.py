@@ -39,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from .connectivity import bfs_tree
 from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
-from .problem import RateProblem, validate
+from .problem import RateProblem, stack_rows, t_matvec, validate
 
 _TAU0 = 1.0
 _BARRIER_INCREASE = 100.0  # tau multiplier per centering (docs: Barrier schedule)
@@ -150,7 +150,7 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
         pred, order = bfs_tree(B, edges, seeds, reverse)
         up = edges[:, 1 if reverse else 0]
         count = np.bincount(starts, minlength=B)
-        stuck = np.setdiff1d(np.flatnonzero(count), order)
+        stuck = np.flatnonzero((count > 0) & (np.bincount(order, minlength=B) == 0))
         if stuck.size:
             fail(f"BS {stuck[0]} {no_walk}")
         on_edge = np.zeros(edges.shape[0], dtype=int)
@@ -167,10 +167,10 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
         tail, and one on from every backhaul head and fiber BS to an access
         BS.  Returns the units per access flow and per backhaul flow, and
         per anchor the walks that end there."""
-        down_e, down_end = route(anchors, bh, False, np.r_[acc_bs, bh[:, 0]],
+        down_e, down_end = route(anchors, bh, False, np.concatenate([acc_bs, bh[:, 0]]),
                                  f"is cut off from the anchors on the {name}")
         sinks, first = np.unique(acc_bs, return_index=True)
-        sink_e, sink_end = route(sinks, bh, True, np.r_[bh[:, 1], fiber_bs],
+        sink_e, sink_end = route(sinks, bh, True, np.concatenate([bh[:, 1], fiber_bs]),
                                  f"is cut off from the served UEs on the {name}")
         acc = np.ones(acc_bs.size)
         acc[first] += sink_end[sinks]     # a sink walk ends in its BS's first access flow
@@ -179,7 +179,7 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
     # uplink is downlink on the reversed backhaul
     acc_u, bh_u, end_u = direction(ul_acc[:, 1], ul_bh[:, ::-1], m_bs[m_ul], "uplink")
     acc_d, bh_d, end_d = direction(dl_acc[:, 0], dl_bh, m_bs[~m_ul], "downlink")
-    flow = np.r_[acc_u, acc_d, bh_u, bh_d]
+    flow = np.concatenate([acc_u, acc_d, bh_u, bh_d])
     m_cnt = 1.0 + np.where(m_ul, end_u[m_bs], end_d[m_bs])
     if m_cnt.sum() - m_bs.size != end_u.sum() + end_d.sum():
         fail("an anchor walk ends at an anchor with no fiber variable")
@@ -227,58 +227,60 @@ class _NewtonSystem:
 
     def __init__(self, problem: RateProblem):
         nf, n, rs = problem.n_flow, problem.n_var, problem.row_slices
+        G, U, A = problem.G, problem.U_mat, problem.A
         self.problem = problem
         self.sl_c = slice(rs["resource"].start, rs["fiber"].stop)
-        # stored transposes: a .T per product builds a new sparse object
-        self.G_t, self.U_t = problem.G.T.tocsr(), problem.U_mat.T.tocsr()
-        self.R = sp.vstack([problem.U_mat, problem.G[self.sl_c], problem.A], format="csr")
-        self.R_t = self.R.T.tocsr()
-        self.R_f, self.R_f_t = self.R[:, :nf].tocsr(), self.R_t[:nf]
-        nt, n_row = n - nf, self.R.shape[0]
+        # M dx = (ds, dr), the step of the slacks and the rates
+        self.M = stack_rows([(G.indptr, G.indices, -G.data), (U.indptr, U.indices, U.data)], n)
+        self.M_t = self.M.T
+        self.R = R = stack_rows([(U.indptr, U.indices, U.data),
+                                 (G.indptr[self.sl_c.start:self.sl_c.stop + 1], G.indices, G.data),
+                                 (A.indptr, A.indices, A.data)], n)
+        self.R_t = R.T
+        nt, n_row = n - nf, R.shape[0]
         self.size = nt + n_row
-        self.n_eq = problem.A.shape[0]
-        self._reg = _REG * np.r_[np.ones(nt), -np.ones(self.size - nt)]
+        self.n_eq = A.shape[0]
+        self._reg = np.repeat([_REG, -_REG], [nt, n_row])
+        self._flows = np.zeros(n)        # flow-column vectors, zero past nf, for R
 
         # value = sum of coef * weight[w] over the slot's terms, the weights
         # being (t pivots, d_m, c a/(a + d_f), 1/(a + d_f), D, 1)
         o_cq, o_inv, o_d, one = nt, n, n + nf, n + nf + n_row
-        ent = self.R.tocoo()
-        f = ent.col < nf
-        pos = np.where(f, ent.col, ent.col - nf)        # f_k's and t_k's entries go to dt_k
-        w_ent = np.where(f, o_cq + ent.col, one)
-        fr, fc, fv = nt + ent.row[f], ent.col[f], ent.data[f]
-        in_col = sp.csr_matrix((np.ones(fc.size), (np.arange(fc.size), fc)),
-                               shape=(fc.size, nf))
-        pair = (in_col @ in_col.T).tocoo()              # entries sharing an f column
+        self._weights = np.append(np.zeros(one), 1.0)
+        f = R.indices < nf                              # entries in flow columns
+        ent_row = np.repeat(np.arange(n_row), np.diff(R.indptr))
+        pos = np.where(f, R.indices, R.indices - nf)    # f_k's and t_k's entries go to dt_k
+        w_ent = np.where(f, o_cq + R.indices, one)
+        fr, fc, fv = nt + ent_row[f], R.indices[f], R.data[f]
+        # pair the two entries of every f column (its two ends), and each with itself
+        ends, own = np.argsort(fc, kind="stable").reshape(-1, 2).T, np.arange(fc.size)
+        pr, pc = np.concatenate([own, ends[0], ends[1]]), np.concatenate([own, ends[1], ends[0]])
         diag = np.arange(self.size)
-        rows = np.r_[diag, diag, pos, nt + ent.row, fr[pair.row]]
-        cols = np.r_[diag, diag, nt + ent.row, pos, fr[pair.col]]
-        widx = np.r_[diag[:nt], o_d + np.arange(n_row), np.full(self.size, one),
-                     w_ent, w_ent, o_inv + fc[pair.row]]
-        coef = np.r_[np.ones(nt), -np.ones(n_row), self._reg, ent.data, ent.data,
-                     -fv[pair.row] * fv[pair.col]]
-        key, slot = np.unique(cols * self.size + rows, return_inverse=True)
-        self._map = sp.csr_matrix((coef, (slot, widx)), shape=(key.size, one + 1))
+        self._terms = (np.concatenate([diag, diag, pos, nt + ent_row, fr[pr]]),      # rows
+                       np.concatenate([diag, diag, nt + ent_row, pos, fr[pc]]),      # columns
+                       np.concatenate([diag[:nt], o_d + np.arange(n_row), np.full(self.size, one),
+                                       w_ent, w_ent, o_inv + fc[pr]]),                # weights
+                       np.concatenate([np.ones(nt), -np.ones(n_row), self._reg, R.data, R.data,
+                                       -fv[pr] * fv[pc]]))                            # coefs
         self._ordered = False
-        self._store(key % self.size, key // self.size, np.arange(self.size))
+        self._store(diag)
 
-    def _store(self, rows, cols, pos):
-        """Keep the pattern in CSC order, with unknown i at row and column pos[i]."""
-        self._pos = pos
-        self._reg_perm = np.empty(self.size)
-        self._reg_perm[pos] = self._reg
-        self.kkt = sp.csc_matrix(
-            (np.zeros(rows.size), rows, np.searchsorted(cols, np.arange(self.size + 1))),
-            shape=(self.size, self.size))
-
-    def _fold(self, perm):
-        """Fold the first factor's column order into the stored pattern."""
-        natural = self.kkt.tocoo()
-        rows, cols = perm[natural.row], perm[natural.col]
-        order = np.argsort(cols * self.size + rows)
-        self._map = self._map[order]
-        self._ordered = True
-        self._store(rows[order], cols[order], perm)
+    def _store(self, pos):
+        """Build the pattern in CSC order, with unknown i at row and column
+        pos[i], and the map whose product with the weights gives its values."""
+        rows, cols, widx, coef = self._terms
+        n_w = self._weights.size
+        term = (pos[cols] * self.size + pos[rows]) * n_w + widx
+        order = np.argsort(term)
+        key = term[order] // n_w
+        first = np.flatnonzero(np.diff(key, prepend=-1))      # one slot per (column, row)
+        self._map = sp.csr_matrix((coef[order], widx[order], np.append(first, key.size)),
+                                  shape=(first.size, n_w))
+        col, row = np.divmod(key[first], self.size)
+        self.kkt = sp.csc_matrix((np.zeros(row.size), row, np.searchsorted(
+            col, np.arange(self.size + 1))), shape=(self.size, self.size))
+        self._pos, self._ipos = pos, np.argsort(pos)
+        self._reg_perm = self._reg[self._ipos]
 
     def solve(self, s: np.ndarray, r: np.ndarray, lam: np.ndarray, grad: np.ndarray,
               full: bool = True):
@@ -292,15 +294,18 @@ class _NewtonSystem:
         nf, n, c = p.n_flow, p.n_var, p.cap
         nt = n - nf
         wt = lam / s
-        d = wt[p.row_slices["nonneg"]]
-        a = wt[p.row_slices["flow_capacity"]]
+        a, d = wt[:nf], wt[-n:]         # capacity rows come first, nonnegativity last
         d_f, d_t, d_m = d[:nf], d[nf:2 * nf], d[2 * nf:]
+        cd = c * d_f
         inv = 1.0 / (a + d_f)
         cq = c * a * inv
-        row_d = np.concatenate([r ** 2, 1.0 / wt[self.sl_c], np.zeros(self.n_eq)])
-        kkt, pos, reg = self.kkt, self._pos, self._reg_perm
-        kkt.data[:] = self._map @ np.concatenate(
-            [d_t + c * d_f * cq, d_m, cq, inv, row_d, [1.0]])
+        weights = self._weights         # A's rows keep D = 0, and the last weight 1
+        np.concatenate([d_t + cd * cq, d_m, cq, inv, r ** 2, 1.0 / wt[self.sl_c]],
+                       out=weights[:-1 - self.n_eq])
+        row_d = weights[n + nf:-1]
+        kkt, reg, R, R_t, flows = self.kkt, self._reg_perm, self.R, self.R_t, self._flows
+        pos, ipos = self._pos, self._ipos       # the order the first factor sees
+        kkt.data[:] = self._map @ weights
         order = ({"permc_spec": "NATURAL"} if self._ordered else
                  {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}})
         try:
@@ -308,64 +313,59 @@ class _NewtonSystem:
                            panel_size=_LU_PANEL, **order)
         except RuntimeError:             # SuperLU: "Factor is exactly singular"
             return None
-        if not self._ordered:
-            self._fold(lu.perm_c)
+        if not self._ordered:          # fold the first factor's order into the pattern
+            self._ordered = True
+            self._store(lu.perm_c.astype(np.intp))
+        cdi = cd * inv
 
-        def eliminated(g, passes):
+        def eliminated(g_s, g_t, g_m, g_z, passes):
             """Solve the full system, with +-_REG on every diagonal but
-            dsigma's, for g = (g_sigma, g_t, g_m, g_z): reduce, solve with
-            `passes` refinement passes in the reduced system, back-substitute."""
-            g_s, b = g[:nf], g[nf:].copy()
-            b[:nf] += c * d_f * inv * g_s
-            b[nt:] += self.R_f @ (inv * g_s)
-            b_perm = np.empty(self.size)
-            b_perm[pos] = b
-            y = lu.solve(b_perm)
+            dsigma's, for g = (g_sigma, g_t, g_m, g_z): reduce in factor order,
+            solve with `passes` refinement passes, back-substitute."""
+            np.multiply(inv, g_s, out=flows[:nf])
+            b = np.concatenate([g_t + cdi * g_s, g_m, g_z + R @ flows])[ipos]
+            y = lu.solve(b)
             for _ in range(passes):
-                y += lu.solve(b_perm - kkt @ y + reg * y)
+                y += lu.solve(b - kkt @ y + reg * y)
             y = y[pos]
-            return np.concatenate([inv * (g_s + c * d_f * y[:nf] + self.R_f_t @ y[nt:]), y])
+            return np.concatenate([inv * (g_s + cd * y[:nf] + (R_t @ y[nt:])[:nf]), y])
 
-        def residual(v, g):
+        def residual(v):
             """g minus the unregularized full system times v = (dsigma, dt, dm, z)."""
             sigma, t, z = v[:nf], v[nf:2 * nf], v[n:]
-            y = self.R_t @ z
+            y = R_t @ z
             dx = np.concatenate([c * t - sigma, v[nf:n]])
-            return g - np.concatenate([
-                (a + d_f) * sigma - c * d_f * t - y[:nf],
-                (c * c * d_f + d_t) * t - c * d_f * sigma + c * y[:nf] + y[nf:2 * nf],
-                d_m * v[2 * nf:n] + y[2 * nf:],
-                self.R @ dx - row_d * z])
+            return (g_s - ((a + d_f) * sigma - cd * t - y[:nf]),
+                    g_t - ((c * c * d_f + d_t) * t - cd * sigma + c * y[:nf] + y[nf:2 * nf]),
+                    g_m - (d_m * v[2 * nf:n] + y[2 * nf:]),
+                    -(R @ dx - row_d * z))
 
         # the Newton right-hand side in slack coordinates, zero on the rows
-        g = np.concatenate([grad[:nf], -(c * grad[:nf] + grad[nf:2 * nf]), -grad[2 * nf:],
-                            np.zeros(row_d.size)])
-        v = eliminated(g, 0 if full else 1)
+        g_s, g_t, g_m = grad[:nf], -(c * grad[:nf] + grad[nf:2 * nf]), -grad[2 * nf:]
+        v = eliminated(g_s, g_t, g_m, 0.0, 0 if full else 1)
         for _ in range(_REFINE_PASSES if full else 0):
-            v += eliminated(residual(v, g), 0)
+            v += eliminated(*residual(v), 0)
         return np.concatenate([c * v[nf:2 * nf] - v[:nf], v[nf:n]]), v[-self.n_eq:]
 
 
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
     """Ratio test: the full step, or 99% of the longest that keeps v + alpha dv
     strictly positive, whichever is shorter."""
-    neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, _BOUNDARY_BACKOFF * float(np.min(v[neg] / -dv[neg])))
+    # v / min(dv, -1e-300) is v / dv where dv < 0 and hugely negative elsewhere
+    with np.errstate(over="ignore"):
+        return min(1.0, _BOUNDARY_BACKOFF * -float((v / np.minimum(dv, -1e-300)).max()))
 
 
-def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
-            lam: np.ndarray, tau: float, last: bool, max_iters: int,
-            newton: _NewtonSystem):
+def _center(x: np.ndarray, v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
+            max_iters: int, newton: _NewtonSystem):
     """Newton iterations for one barrier subproblem from the interior point x
-    with slacks s = h - Gx, rates r = Ux and inequality multipliers lam > 0.
-    The last centering stops at the decrement `_NEWTON_TOL` and refines each
-    step against the full system; the others stop at `_PATH_TOL` and take
-    one reduced refinement pass.
+    with v = (s, r), its slacks s = h - Gx and rates r = Ux, and inequality
+    multipliers lam > 0.  The last centering stops at the decrement
+    `_NEWTON_TOL` and refines each step against the full system; the others
+    stop at `_PATH_TOL` and take one reduced refinement pass.
 
-    Returns (x, s, r, lam, w, iters, failure): the last iterate with its
-    carried slacks, rates and multipliers, the conservation multipliers,
+    Returns (x, v, lam, w, iters, failure): the last iterate with its
+    carried slacks and rates and multipliers, the conservation multipliers,
     the number of damped steps taken, and None or the reason centering
     stopped short (iteration cap, failed line search, singular factor).
 
@@ -375,61 +375,63 @@ def _center(problem: RateProblem, x: np.ndarray, s: np.ndarray, r: np.ndarray,
     the Newton matrix weighs row k by lam_k / s_k in place of the primal
     1/(tau s_k^2), and the right-hand side stays -grad psi, so dx descends
     psi and the line search is unchanged.  The multipliers take their own
-    step dlam = 1/(tau s) - lam + (lam / s) G dx, damped to stay positive,
+    step dlam = 1/(tau s) - lam - (lam / s) ds, damped to stay positive,
     and are then kept within a factor `_LAM_SPREAD` of 1/(tau s), so a
     centering that makes no progress cannot blow them up; lam = 1/(tau s)
     gives the primal barrier step.  Stops once the half squared Newton
     decrement is below `tol`, the full step keeps every slack positive
-    (|G dx| < s) and every multiplier positive (lam + dlam > 0); the
-    decrement bounds |U dx / r| below sqrt(2 tol), under 0.045 for any tol
+    (|ds| < s) and every multiplier positive (lam + dlam > 0); the
+    decrement bounds |dr / r| below sqrt(2 tol), under 0.045 for any tol
     `solve` passes, so the rates stay positive too.  It then takes that
     full step and returns the step's multipliers
-    lam + dlam = 1/(tau s) + (lam / s) G dx, and w.  They satisfy
+    lam + dlam = 1/(tau s) - (lam / s) ds, and w.  They satisfy
     stationarity at the new point up to the linear solve's residual and a
     term quadratic in dx.  On failure lam is the carried multiplier of the
     last iterate.
     """
-    G, U, G_t, U_t = problem.G, problem.U_mat, newton.G_t, newton.U_t
+    M, M_t, m = newton.M, newton.M_t, lam.size
     tol = _NEWTON_TOL if last else _PATH_TOL
     w = np.zeros(newton.n_eq)      # returned as is if the first factor is singular
+    tau_v = np.concatenate([np.full(m, tau), np.ones(v.size - m)])
 
-    def barrier_value(s, r):
-        return -np.log(r).sum() - np.log(s).sum() / tau
+    def barrier(v):
+        return -np.log(v[m:]).sum() - np.log(v[:m]).sum() / tau
 
+    psi = barrier(v)
     for it in range(max_iters):
-        inv_s = 1.0 / s
-        inv_r = 1.0 / r
-        grad = G_t @ (inv_s / tau) - U_t @ inv_r
-        step = newton.solve(s, r, lam, grad, full=last)
+        inv_v = 1.0 / v
+        y = inv_v / tau_v               # (1/(tau s), 1/r), and M = [-G; U]
+        grad = -(M_t @ y)
+        step = newton.solve(v[:m], v[m:], lam, grad, full=last)
         if step is None:
-            return x, s, r, lam, w, it, "singular Newton matrix"
+            return x, v, lam, w, it, "singular Newton matrix"
         dx, w = step
-        g_dx = G @ dx
-        u_dx = U @ dx
-        d_lam = inv_s / tau - lam + lam * inv_s * g_dx
-        decrement = float(np.sum((u_dx * inv_r) ** 2)
-                          + np.sum((g_dx * inv_s) ** 2) / tau)
-        if (decrement / 2.0 <= tol and np.all(np.abs(g_dx) < s)
+        dv = M @ dx
+        ds = dv[:m]
+        d_lam = y[:m] - lam - lam * inv_v[:m] * ds
+        q = dv * inv_v
+        q *= q
+        decrement = float(q[m:].sum() + q[:m].sum() / tau)
+        if (decrement / 2.0 <= tol and np.all(np.abs(ds) < v[:m])
                 and np.all(lam + d_lam > 0)):
-            return x + dx, s - g_dx, r + u_dx, lam + d_lam, w, it, None
-        alpha = min(_step_to_boundary(s, -g_dx), _step_to_boundary(r, u_dx))
-        psi = barrier_value(s, r)
+            return x + dx, v + dv, lam + d_lam, w, it, None
+        alpha = _step_to_boundary(v, dv)
         slope = float(grad @ dx)
         while alpha > 1e-14:
-            s_new = s - alpha * g_dx
-            r_new = r + alpha * u_dx
-            if (s_new.min() > 0 and r_new.min() > 0
-                    and barrier_value(s_new, r_new) <= psi + _ARMIJO * alpha * slope):
-                break
+            v_new = v + alpha * dv
+            if v_new.min() > 0:
+                psi_new = barrier(v_new)
+                if psi_new <= psi + _ARMIJO * alpha * slope:
+                    break
             alpha *= _STEP_SHRINK
         else:
-            return x, s, r, lam, w, it, "line search failed"
+            return x, v, lam, w, it, "line search failed"
         x = x + alpha * dx
-        s, r = s_new, r_new
+        v, psi = v_new, psi_new
         lam = lam + _step_to_boundary(lam, d_lam) * d_lam
-        central = 1.0 / (tau * s)
-        lam = np.clip(lam, central / _LAM_SPREAD, central * _LAM_SPREAD)
-    return x, s, r, lam, w, max_iters, "inner Newton iteration cap hit"
+        central = 1.0 / (tau * v[:m])
+        lam = np.minimum(np.maximum(lam, central / _LAM_SPREAD), central * _LAM_SPREAD)
+    return x, v, lam, w, max_iters, "inner Newton iteration cap hit"
 
 
 def solve(problem: RateProblem, cfg: SolverConfig | None = None):
@@ -456,30 +458,30 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
 
     newton = _NewtonSystem(problem)
     x = strictly_feasible_point(problem)
-    s, r = problem.h - problem.G @ x, problem.U_mat @ x
-    if np.any(s <= 0) or np.any(r <= 0):
+    v = np.concatenate([problem.h, np.zeros(n_terms)]) + newton.M @ x    # (s, r)
+    if np.any(v <= 0):
         raise InfeasibleProblemError("starting point is not strictly feasible")
     # 5% overshoot keeps the final reported gap strictly below the tolerance
     tau_needed = 1.05 * m_ineq / gap_target_abs
     tau = _TAU0
     # carried across centerings: resetting lam to 1/(tau s) when tau grows
     # costs more steps (docs: Carried multipliers)
-    lam = 1.0 / (tau * s)
+    lam = 1.0 / (tau * v[:m_ineq])
     trace = []
     inner_total = 0
     while True:
         last = m_ineq / tau <= gap_target_abs
-        x, s, r, lam, w, inner, failure = _center(
-            problem, x, s, r, lam, tau, last, cfg.max_inner_iters, newton)
+        x, v, lam, w, inner, failure = _center(
+            x, v, lam, tau, last, cfg.max_inner_iters, newton)
         inner_total += inner
-        trace.append(problem.objective_log(x))
+        trace.append(float(np.log(v[m_ineq:]).sum()))
         if failure or last:
             break
         tau = min(tau * _BARRIER_INCREASE, tau_needed)
     if failure:
         # the carried lam may sit up to _LAM_SPREAD off 1/(tau s), which
         # would leave the failure's KKT report saying nothing of x
-        lam = 1.0 / (tau * s)
+        lam = 1.0 / (tau * v[:m_ineq])
 
     r_ul, r_dl = problem.rates_bps(x)
     solution = Solution(
@@ -514,8 +516,8 @@ def check_kkt(problem: RateProblem, solution: Solution,
                     report.violations["conservation_ul"])
 
     r = problem.U_mat @ x
-    grad0 = -(problem.U_mat.T @ (1.0 / r))
-    resid = grad0 + problem.G.T @ lam + problem.A.T @ nu
+    grad0 = -t_matvec(problem.U_mat, 1.0 / r)
+    resid = grad0 + t_matvec(problem.G, lam) + t_matvec(problem.A, nu)
     scale = max(1.0, float(np.abs(grad0).max()))
     stationarity = float(np.abs(resid).max()) / scale
 
