@@ -161,14 +161,8 @@ class RateProblem:
                 fh.write(f"ue{ue}: {ul} / {dl}\n")
 
 
-def t_matvec(mat: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
-    """mat' y, summed in the order mat.T @ y sums, without building mat.T."""
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    return np.bincount(mat.indices, weights=mat.data * y[rows], minlength=mat.shape[1])
-
-
 def stack_rows(blocks, n_col: int) -> sp.csr_matrix:
-    """CSR matrix of row blocks (indptr, indices, data); indptr may be a window."""
+    """CSR matrix of row blocks (indptr, indices, data), an indptr possibly a slice."""
     ends = np.cumsum([0] + [p[-1] - p[0] for p, _i, _d in blocks])
     indptr = np.concatenate([[0]] + [p[1:] - p[0] + e for (p, _i, _d), e in zip(blocks, ends)])
     data, indices = (np.concatenate([b[k][b[0][0]:b[0][-1]] for b in blocks]) for k in (2, 1))

@@ -39,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from .connectivity import bfs_tree
 from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
-from .problem import RateProblem, stack_rows, t_matvec, validate
+from .problem import RateProblem, stack_rows, validate
 
 _TAU0 = 1.0
 _BARRIER_INCREASE = 100.0  # tau multiplier per centering (docs: Barrier schedule)
@@ -212,8 +212,9 @@ class _NewtonSystem:
     d_t + c^2 d_f a/(a + d_f), t_k's entries on f_k's rows are R_f's scaled
     by c a/(a + d_f), and the row block is -(D + R_f diag(1/(a + d_f)) R_f').
     A tight capacity row's huge a never meets d_t in a difference, so
-    nothing cancels.  Relies on assemble's row layout: capacity row k is
-    f_k - c_k t_k and nonnegativity row i is -x_i.
+    nothing cancels.  Relies on assemble's layout: G's rows open with
+    capacity row k, f_k - c_k t_k, and close with nonnegativity row i, -x_i,
+    and every flow enters two rows of R, one at each end.
 
     The pattern, and one sparse map from the per-link weights to its values,
     are built here.  The factored matrix adds +_REG on the (dt, dm) diagonal
@@ -316,14 +317,13 @@ class _NewtonSystem:
         if not self._ordered:          # fold the first factor's order into the pattern
             self._ordered = True
             self._store(lu.perm_c.astype(np.intp))
-        cdi = cd * inv
 
         def eliminated(g_s, g_t, g_m, g_z, passes):
             """Solve the full system, with +-_REG on every diagonal but
             dsigma's, for g = (g_sigma, g_t, g_m, g_z): reduce in factor order,
             solve with `passes` refinement passes, back-substitute."""
             np.multiply(inv, g_s, out=flows[:nf])
-            b = np.concatenate([g_t + cdi * g_s, g_m, g_z + R @ flows])[ipos]
+            b = np.concatenate([g_t + cd * inv * g_s, g_m, g_z + R @ flows])[ipos]
             y = lu.solve(b)
             for _ in range(passes):
                 y += lu.solve(b - kkt @ y + reg * y)
@@ -503,6 +503,12 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     if failure:
         raise ConvergenceError(failure, best_x=x, certificate=certificate)
     return solution, certificate
+
+
+def t_matvec(mat: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+    """mat' y, summed in the order mat.T @ y sums, without building mat.T."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    return np.bincount(mat.indices, weights=mat.data * y[rows], minlength=mat.shape[1])
 
 
 def check_kkt(problem: RateProblem, solution: Solution,

@@ -216,10 +216,11 @@ def test_iteration_cap_is_exit_three(tmp_path, capsys):
 
 
 def test_tight_gap_failure_is_exit_three(tmp_path, capsys):
-    # 1e-9 is below what this instance certifies: the solve ends in a typed
-    # failure (its final point fails the KKT check) and the CLI exits 3,
-    # never with a traceback
-    cfg = write_config(tmp_path, duality_gap_tol=1e-9, grid_rows=2, grid_cols=3,
+    # a gap of 1e-16 per log-rate term is below the rounding error of the
+    # stationarity residual itself, so no double-precision solve certifies
+    # it: this one stops with a failed line search at tau = 1e14, a typed
+    # failure, and the CLI exits 3, never with a traceback
+    cfg = write_config(tmp_path, duality_gap_tol=1e-16, grid_rows=2, grid_cols=3,
                        n_ues=30, seed=4, anchor_k=1, scenarios=["iab_mesh_lb"])
     assert main(["run", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith("no convergence: ")

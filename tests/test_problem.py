@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from iabplan import (AnchorSet, ConfigError, InfeasibleProblemError, Variant,
@@ -118,6 +119,74 @@ class TestAssemble:
             digests = (hashlib.sha256(path.read_bytes()).hexdigest(),
                        hashlib.sha256(strictly_feasible_point(prob).tobytes()).hexdigest())
             assert digests == GOLDEN[(grid, variant)], variant
+
+
+def reference_rows(prob):
+    """G, A (with its kept row ids) and U_mat built entry by entry from the
+    link lists, one constraint family at a time."""
+    nf, n = prob.n_flow, prob.n_var
+    links = [(int(u), -1, int(b)) for u, b in prob.ul_access]        # (ue, tail, head)
+    links += [(int(u), int(b), -1) for b, u in prob.dl_access]
+    links += [(-1, int(i), int(j)) for i, j in np.r_[prob.ul_backhaul, prob.dl_backhaul]]
+    is_ul = [1] * len(prob.ul_access) + [0] * len(prob.dl_access) \
+        + [1] * len(prob.ul_backhaul) + [0] * len(prob.dl_backhaul)
+    g = [{k: 1.0, nf + k: -prob.cap[k]} for k in range(nf)]           # capacity
+    for bs in range(prob.n_bs):                                        # resource
+        row = {nf + k: 1.0 for k, (_u, i, j) in enumerate(links) if bs in (i, j)}
+        if row:
+            g.append(row)
+    for bs in sorted(set(prob.m_bs.tolist())):                         # fiber
+        g.append({2 * nf + v: 1.0 for v, b in enumerate(prob.m_bs) if b == bs})
+    g += [{v: -1.0} for v in range(n)]                                 # nonnegativity
+    a = {}                 # conservation row 2b (DL) or 2b + 1 (UL) -> entries
+    for k, (_u, i, j) in enumerate(links):
+        out = 1.0 if not is_ul[k] else -1.0       # DL counts outflow, UL inflow
+        if i >= 0:
+            a.setdefault(2 * i + is_ul[k], {})[k] = out
+        if j >= 0:
+            a.setdefault(2 * j + is_ul[k], {})[k] = -out
+    for v, (b, ul) in enumerate(zip(prob.m_bs, prob.m_ul)):
+        a.setdefault(2 * int(b) + int(ul), {})[2 * nf + v] = -1.0
+    kept = sorted(a)
+    ue_row = {int(u): i for i, u in enumerate(prob.ue_ids)}
+    rates = [dict() for _ in range(2 * prob.ue_ids.size)]
+    for k, (u, i, j) in enumerate(links):
+        if u >= 0:
+            rates[ue_row[u] + (0 if j >= 0 else prob.ue_ids.size)][k] = 1.0
+
+    def csr(rows):
+        r, c, v = zip(*[(i, col, val) for i, row in enumerate(rows) for col, val in row.items()])
+        return sp.csr_matrix((v, (r, c)), shape=(len(rows), n))
+
+    return csr(g), csr([a[i] for i in kept]), np.array(kept), csr(rates)
+
+
+STRUCTURE_GRIDS = ([(2, 3, 30, seed, k) for seed in (1, 2, 3) for k in range(1, 7)]
+                   + [(3, 6, 60, 1, 7), (6, 12, 2400, 1, 18)])
+
+
+class TestAssembledMatrices:
+    @pytest.mark.parametrize("grid", STRUCTURE_GRIDS, ids=lambda g: "x".join(map(str, g)))
+    def test_canonical_and_equal_to_reference(self, grid):
+        # assemble builds every matrix from arrays already in CSR order;
+        # the result must be canonical CSR (sorted, no duplicates) and hold
+        # exactly the entries each constraint family defines
+        for variant, prob in grid_problems(*grid):
+            G, A, kept, U = reference_rows(prob)
+            for name, got, ref in (("G", prob.G, G), ("A", prob.A, A), ("U_mat", prob.U_mat, U)):
+                fresh = sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape)
+                assert fresh.has_canonical_format, (variant, name)
+                assert got.shape == ref.shape, (variant, name)
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, field), getattr(ref, field)), \
+                        (variant, name, field)
+            assert np.array_equal(prob.eq_ul, kept % 2 == 1), variant
+            rs = prob.row_slices
+            assert rs["nonneg"].stop == G.shape[0] and rs["flow_capacity"].stop == prob.n_flow
+            assert np.array_equal(prob.h, np.repeat(
+                [0.0, 1.0, prob.fiber_norm, 0.0],
+                [rs[f].stop - rs[f].start for f in ("flow_capacity", "resource", "fiber",
+                                                   "nonneg")])), variant
 
 
 class TestConservationRank:
