@@ -164,8 +164,10 @@ class RateProblem:
 def stack_rows(blocks, n_col: int) -> sp.csr_matrix:
     """CSR matrix of row blocks (indptr, indices, data), an indptr possibly a slice."""
     ends = np.cumsum([0] + [p[-1] - p[0] for p, _i, _d in blocks])
-    indptr = np.concatenate([[0]] + [p[1:] - p[0] + e for (p, _i, _d), e in zip(blocks, ends)])
-    data, indices = (np.concatenate([b[k][b[0][0]:b[0][-1]] for b in blocks]) for k in (2, 1))
+    indptr = np.concatenate([[0]] + [p[1:] - p[0] + e for (p, _i, _d), e in zip(blocks, ends)],
+                            dtype=np.intc)      # int32 as in SciPy's own, and no int64 copy
+    indices = np.concatenate([i[p[0]:p[-1]] for p, i, _d in blocks], dtype=np.intc)
+    data = np.concatenate([d[p[0]:p[-1]] for p, _i, d in blocks])
     return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_col))
 
 

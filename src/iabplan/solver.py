@@ -233,14 +233,12 @@ class _NewtonSystem:
         self.sl_c = slice(rs["resource"].start, rs["fiber"].stop)
         # M dx = (ds, dr), the step of the slacks and the rates
         self.M = stack_rows([(G.indptr, G.indices, -G.data), (U.indptr, U.indices, U.data)], n)
-        self.M_t = self.M.T
         self.R = R = stack_rows([(U.indptr, U.indices, U.data),
                                  (G.indptr[self.sl_c.start:self.sl_c.stop + 1], G.indices, G.data),
                                  (A.indptr, A.indices, A.data)], n)
-        self.R_t = R.T
+        self.M_t, self.R_t = self.M.T, R.T          # CSC views
         nt, n_row = n - nf, R.shape[0]
-        self.size = nt + n_row
-        self.n_eq = A.shape[0]
+        self.size, self.n_eq = nt + n_row, A.shape[0]
         self._reg = np.repeat([_REG, -_REG], [nt, n_row])
         self._flows = np.zeros(n)        # flow-column vectors, zero past nf, for R
 
@@ -263,8 +261,7 @@ class _NewtonSystem:
                                        w_ent, w_ent, o_inv + fc[pr]]),                # weights
                        np.concatenate([np.ones(nt), -np.ones(n_row), self._reg, R.data, R.data,
                                        -fv[pr] * fv[pc]]))                            # coefs
-        self._ordered = False
-        self._store(diag)
+        self._store(diag)            # the terms are kept until the first factor's order
 
     def _store(self, pos):
         """Build the pattern in CSC order, with unknown i at row and column
@@ -307,16 +304,16 @@ class _NewtonSystem:
         kkt, reg, R, R_t, flows = self.kkt, self._reg_perm, self.R, self.R_t, self._flows
         pos, ipos = self._pos, self._ipos       # the order the first factor sees
         kkt.data[:] = self._map @ weights
-        order = ({"permc_spec": "NATURAL"} if self._ordered else
+        order = ({"permc_spec": "NATURAL"} if self._terms is None else
                  {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}})
         try:
             lu = spla.splu(kkt, diag_pivot_thresh=0, relax=_LU_RELAX,
                            panel_size=_LU_PANEL, **order)
         except RuntimeError:             # SuperLU: "Factor is exactly singular"
             return None
-        if not self._ordered:          # fold the first factor's order into the pattern
-            self._ordered = True
+        if self._terms is not None:    # fold the first factor's order into the pattern
             self._store(lu.perm_c.astype(np.intp))
+            self._terms = None
 
         def eliminated(g_s, g_t, g_m, g_z, passes):
             """Solve the full system, with +-_REG on every diagonal but

@@ -122,22 +122,22 @@ class TestAssemble:
 
 
 def reference_rows(prob):
-    """G, A (with its kept row ids) and U_mat built entry by entry from the
-    link lists, one constraint family at a time."""
+    """G (with its rows per family), A (with its kept row ids) and U_mat built
+    entry by entry from the link lists, one constraint family at a time."""
     nf, n = prob.n_flow, prob.n_var
     links = [(int(u), -1, int(b)) for u, b in prob.ul_access]        # (ue, tail, head)
     links += [(int(u), int(b), -1) for b, u in prob.dl_access]
     links += [(-1, int(i), int(j)) for i, j in np.r_[prob.ul_backhaul, prob.dl_backhaul]]
     is_ul = [1] * len(prob.ul_access) + [0] * len(prob.dl_access) \
         + [1] * len(prob.ul_backhaul) + [0] * len(prob.dl_backhaul)
-    g = [{k: 1.0, nf + k: -prob.cap[k]} for k in range(nf)]           # capacity
-    for bs in range(prob.n_bs):                                        # resource
-        row = {nf + k: 1.0 for k, (_u, i, j) in enumerate(links) if bs in (i, j)}
-        if row:
-            g.append(row)
-    for bs in sorted(set(prob.m_bs.tolist())):                         # fiber
-        g.append({2 * nf + v: 1.0 for v, b in enumerate(prob.m_bs) if b == bs})
-    g += [{v: -1.0} for v in range(n)]                                 # nonnegativity
+    family = {"flow_capacity": [{k: 1.0, nf + k: -prob.cap[k]} for k in range(nf)]}
+    family["resource"] = [row for row in (
+        {nf + k: 1.0 for k, (_u, i, j) in enumerate(links) if bs in (i, j)}
+        for bs in range(prob.n_bs)) if row]
+    family["fiber"] = [{2 * nf + v: 1.0 for v, b in enumerate(prob.m_bs) if b == bs}
+                       for bs in sorted(set(prob.m_bs.tolist()))]
+    family["nonneg"] = [{v: -1.0} for v in range(n)]
+    g = [row for rows in family.values() for row in rows]
     a = {}                 # conservation row 2b (DL) or 2b + 1 (UL) -> entries
     for k, (_u, i, j) in enumerate(links):
         out = 1.0 if not is_ul[k] else -1.0       # DL counts outflow, UL inflow
@@ -158,7 +158,8 @@ def reference_rows(prob):
         r, c, v = zip(*[(i, col, val) for i, row in enumerate(rows) for col, val in row.items()])
         return sp.csr_matrix((v, (r, c)), shape=(len(rows), n))
 
-    return csr(g), csr([a[i] for i in kept]), np.array(kept), csr(rates)
+    sizes = {name: len(rows) for name, rows in family.items()}
+    return csr(g), sizes, csr([a[i] for i in kept]), np.array(kept), csr(rates)
 
 
 STRUCTURE_GRIDS = ([(2, 3, 30, seed, k) for seed in (1, 2, 3) for k in range(1, 7)]
@@ -172,7 +173,7 @@ class TestAssembledMatrices:
         # the result must be canonical CSR (sorted, no duplicates) and hold
         # exactly the entries each constraint family defines
         for variant, prob in grid_problems(*grid):
-            G, A, kept, U = reference_rows(prob)
+            G, sizes, A, kept, U = reference_rows(prob)
             for name, got, ref in (("G", prob.G, G), ("A", prob.A, A), ("U_mat", prob.U_mat, U)):
                 fresh = sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape)
                 assert fresh.has_canonical_format, (variant, name)
@@ -181,12 +182,11 @@ class TestAssembledMatrices:
                     assert np.array_equal(getattr(got, field), getattr(ref, field)), \
                         (variant, name, field)
             assert np.array_equal(prob.eq_ul, kept % 2 == 1), variant
-            rs = prob.row_slices
-            assert rs["nonneg"].stop == G.shape[0] and rs["flow_capacity"].stop == prob.n_flow
-            assert np.array_equal(prob.h, np.repeat(
-                [0.0, 1.0, prob.fiber_norm, 0.0],
-                [rs[f].stop - rs[f].start for f in ("flow_capacity", "resource", "fiber",
-                                                   "nonneg")])), variant
+            ends = np.cumsum([0] + list(sizes.values())).tolist()
+            assert prob.row_slices == {f: slice(lo, hi) for f, lo, hi
+                                       in zip(sizes, ends[:-1], ends[1:])}, variant
+            assert np.array_equal(prob.h, np.repeat([0.0, 1.0, prob.fiber_norm, 0.0],
+                                                    list(sizes.values()))), variant
 
 
 class TestConservationRank:

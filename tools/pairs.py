@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         for side in (("parent", "change") if i % 2 else ("change", "parent")):
             result = run(sides[side], args, i, spec["run_seconds"])
             results[side].append(result)
-            values = {k: round(m["value"], 4) for k, m in result["metrics"].items()}
+            values = {k: round(m["value"], 6) for k, m in result["metrics"].items()}
             print(f"pair {i} {side}: correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
 
