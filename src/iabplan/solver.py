@@ -261,7 +261,7 @@ class _NewtonSystem:
                                        w_ent, w_ent, o_inv + fc[pr]]),                # weights
                        np.concatenate([np.ones(nt), -np.ones(n_row), self._reg, R.data, R.data,
                                        -fv[pr] * fv[pc]]))                            # coefs
-        self._store(diag)            # the terms are kept until the first factor's order
+        self._store(diag)            # _terms stay until the first factor's order is in
 
     def _store(self, pos):
         """Build the pattern in CSC order, with unknown i at row and column
