@@ -72,12 +72,18 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
-    if not cfg["scenarios"]:
+    scenarios = cfg["scenarios"]
+    if not (isinstance(scenarios, list) and all(isinstance(s, str) for s in scenarios)):
+        raise ConfigError(f"scenarios must be a list of scenario names, got {scenarios!r}")
+    if not scenarios:
         raise ConfigError("scenario list is empty")
     try:
-        cfg["scenarios"] = [Variant(s).value for s in cfg["scenarios"]]
+        cfg["scenarios"] = [Variant(s).value for s in scenarios]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key in ("output_dir", "gains_csv", "topology_file"):
+        if not (isinstance(cfg[key], str) or (cfg[key] is None and key != "output_dir")):
+            raise ConfigError(f"{key} must be a path string, got {cfg[key]!r}")
     for key in ("gains_csv", "topology_file"):
         if cfg[key] is not None and not Path(cfg[key]).exists():
             raise ConfigError(f"{key} does not exist: {cfg[key]}")

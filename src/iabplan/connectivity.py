@@ -115,7 +115,8 @@ def backhaul_spanning_tree(gains_bb: np.ndarray, anchors: AnchorSet,
     Prim's rule: each unconnected site keeps its best edge into the
     connected set (`gain`, from the lowest-id `parent` on ties; `parent` is
     n while it has none), so an iteration is one scan of the frontier and
-    one update from the site just added.
+    one update from the site just added.  When the site it picks has no
+    edge at all, no unconnected site has one: they are all unreachable.
     """
     n = gains_bb.shape[0]
     if exists_bb is None:
@@ -124,10 +125,6 @@ def backhaul_spanning_tree(gains_bb: np.ndarray, anchors: AnchorSet,
     np.fill_diagonal(usable, False)
 
     connected = anchors.y.copy()
-    stranded = np.flatnonzero(~reachable(usable, connected))
-    if stranded.size:
-        raise ConnectivityError(
-            f"sites unreachable from any anchor: {stranded.tolist()}")
     gain = np.full(n, -np.inf)
     parent = np.full(n, n)
 
@@ -144,6 +141,9 @@ def backhaul_spanning_tree(gains_bb: np.ndarray, anchors: AnchorSet,
         frontier = np.flatnonzero(~connected)
         frontier = frontier[gain[frontier] == gain[frontier].max()]
         j = frontier[np.argmin(parent[frontier])]
+        if parent[j] == n:
+            raise ConnectivityError(
+                f"sites unreachable from any anchor: {np.flatnonzero(~connected).tolist()}")
         b[parent[j], j] = b[j, parent[j]] = True
         connected[j] = True
         join(j)
@@ -181,14 +181,6 @@ def bfs_tree(n: int, edges: np.ndarray, seeds: np.ndarray, reverse: bool = False
                 pred[w] = ids[k]
                 order.append(w)
     return np.array(pred, dtype=np.intp), np.array(order, dtype=np.intp)
-
-
-def reachable(adj: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Mask of the nodes reachable from any seed along the directed edges
-    i -> j of the boolean (n, n) `adj`, seeds included."""
-    reach = np.zeros(adj.shape[0], dtype=bool)
-    reach[bfs_tree(adj.shape[0], np.argwhere(adj), seeds)[1]] = True
-    return reach
 
 
 def make_scenario(variant: Variant | str, links: LinkTable, anchors: AnchorSet,

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .connectivity import ConnectivityPattern, reachable
+from .connectivity import ConnectivityPattern, bfs_tree
 from .errors import InfeasibleProblemError
 from .geometry import AnchorSet
 from .linkbudget import LinkTable
@@ -190,9 +190,14 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     dl_acc_ok = acc & links.exists_bu.T             # (U, B) candidate b->u
     bh_ok = pattern.backhaul & links.exists_bb      # (B, B)
     np.fill_diagonal(bh_ok, False)
+    bh_edges = np.argwhere(bh_ok)                   # (E, 2) rows (i, j), sorted
 
-    dl_reach = reachable(bh_ok, y)     # can receive DL from some anchor
-    ul_reach = reachable(bh_ok.T, y)   # can forward UL to some anchor
+    def reach(seeds, reverse=False):
+        """Mask of the BSs that `seeds` reach along bh_edges (against them with `reverse`)."""
+        return np.bincount(bfs_tree(B, bh_edges, seeds, reverse)[1], minlength=B) > 0
+
+    dl_reach = reach(y)                 # can receive DL from some anchor
+    ul_reach = reach(y, reverse=True)   # can forward UL to some anchor
 
     ul_ok = ul_acc_ok & ul_reach[None, :]
     dl_ok = dl_acc_ok & dl_reach[None, :]
@@ -210,15 +215,13 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
 
     # backhaul usability: DL needs an anchor upstream and a UE-serving BS
     # downstream; UL is the mirror image.
-    dl_sinkable = reachable(bh_ok.T, dl_ok.any(axis=0))
-    ul_sourceable = reachable(bh_ok, ul_ok.any(axis=0))
-    bh_dl = bh_ok & dl_reach[:, None] & dl_sinkable[None, :]
-    bh_ul = bh_ok & ul_sourceable[:, None] & ul_reach[None, :]
-
+    dl_sinkable = reach(dl_ok.any(axis=0), reverse=True)
+    ul_sourceable = reach(ul_ok.any(axis=0))
+    i, j = bh_edges.T
+    ul_backhaul = bh_edges[ul_sourceable[i] & ul_reach[j]]
+    dl_backhaul = bh_edges[dl_reach[i] & dl_sinkable[j]]
     ul_access = np.argwhere(ul_ok)            # (ue, bs)
     dl_access = np.argwhere(dl_ok.T)          # (bs, ue)
-    ul_backhaul = np.argwhere(bh_ul)
-    dl_backhaul = np.argwhere(bh_dl)
     na, nd = ul_access.shape[0], dl_access.shape[0]
 
     # per-flow BS endpoints in variable order, -1 at a UE end
@@ -330,10 +333,8 @@ def validate(problem: RateProblem, candidate, tol: float = 1e-8) -> ValidationRe
     viol = {family: float(excess[slc].max(initial=0.0))
             for family, slc in problem.row_slices.items()}
 
-    A = problem.A      # |A| |x| row by row, in the order A @ x sums
-    entering = np.bincount(np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)),
-                           weights=np.abs(A.data * x[A.indices]), minlength=A.shape[0])
-    resid = np.abs(A @ x) / np.maximum(1.0, entering)
+    A = problem.A
+    resid = np.abs(A @ x) / np.maximum(1.0, abs(A) @ np.abs(x))
     viol["conservation_dl"] = float(resid[~problem.eq_ul].max(initial=0.0))
     viol["conservation_ul"] = float(resid[problem.eq_ul].max(initial=0.0))
 

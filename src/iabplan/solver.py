@@ -13,7 +13,8 @@ with damped Newton steps.  Each step solves, in augmented form, the system
 
 so every iterate satisfies the conservation equalities exactly.  Slacks,
 rates and the inequality multipliers lam are carried with the steps, not
-recomputed from x; lam = 1/(tau s) would give the primal barrier step.  A
+recomputed from x; lam = 1/(tau s) would give the primal barrier step.
+x itself is read from s: the slacks of the rows -x <= 0 are x.  A
 centering ends with a full Newton step once the half squared Newton
 decrement is below its tolerance: a loose one while tau still grows, and
 a tight one at the last tau, whose point is the answer.  That step's
@@ -353,18 +354,20 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
         return min(1.0, _BOUNDARY_BACKOFF * -float((v / np.minimum(dv, -1e-300)).max()))
 
 
-def _center(x: np.ndarray, v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
+def _center(v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
             max_iters: int, newton: _NewtonSystem):
-    """Newton iterations for one barrier subproblem from the interior point x
-    with v = (s, r), its slacks s = h - Gx and rates r = Ux, and inequality
-    multipliers lam > 0.  The last centering stops at the decrement
-    `_NEWTON_TOL` and refines each step against the full system; the others
-    stop at `_PATH_TOL` and take one reduced refinement pass.
+    """Newton iterations for one barrier subproblem from the interior point
+    v = (s, r), the slacks s = h - Gx and rates r = Ux of some x, with
+    inequality multipliers lam > 0.  x itself is not carried: its
+    nonnegativity slacks h - (-x) = x are a block of s, stepped alike.
+    The last centering stops at the decrement `_NEWTON_TOL` and refines
+    each step against the full system; the others stop at `_PATH_TOL` and
+    take one reduced refinement pass.
 
-    Returns (x, v, lam, w, iters, failure): the last iterate with its
-    carried slacks and rates and multipliers, the conservation multipliers,
-    the number of damped steps taken, and None or the reason centering
-    stopped short (iteration cap, failed line search, singular factor).
+    Returns (v, lam, w, iters, failure): the last iterate's carried slacks
+    and rates and multipliers, the conservation multipliers, the number of
+    damped steps taken, and None or the reason centering stopped short
+    (iteration cap, failed line search, singular factor).
 
     Minimizes psi = F + phi/tau (the 1/tau scaling keeps values and
     gradients at the scale of F for any tau, so line-search comparisons
@@ -401,7 +404,7 @@ def _center(x: np.ndarray, v: np.ndarray, lam: np.ndarray, tau: float, last: boo
         grad = -(M_t @ y)
         step = newton.solve(v[:m], v[m:], lam, grad, full=last)
         if step is None:
-            return x, v, lam, w, it, "singular Newton matrix"
+            return v, lam, w, it, "singular Newton matrix"
         dx, w = step
         dv = M @ dx
         ds = dv[:m]
@@ -411,7 +414,7 @@ def _center(x: np.ndarray, v: np.ndarray, lam: np.ndarray, tau: float, last: boo
         decrement = float(q[m:].sum() + q[:m].sum() / tau)
         if (decrement / 2.0 <= tol and np.all(np.abs(ds) < v[:m])
                 and np.all(lam + d_lam > 0)):
-            return x + dx, v + dv, lam + d_lam, w, it, None
+            return v + dv, lam + d_lam, w, it, None
         alpha = _step_to_boundary(v, dv)
         slope = float(grad @ dx)
         while alpha > 1e-14:
@@ -422,13 +425,12 @@ def _center(x: np.ndarray, v: np.ndarray, lam: np.ndarray, tau: float, last: boo
                     break
             alpha *= _STEP_SHRINK
         else:
-            return x, v, lam, w, it, "line search failed"
-        x = x + alpha * dx
+            return v, lam, w, it, "line search failed"
         v, psi = v_new, psi_new
         lam = lam + _step_to_boundary(lam, d_lam) * d_lam
         central = 1.0 / (tau * v[:m])
         lam = np.minimum(np.maximum(lam, central / _LAM_SPREAD), central * _LAM_SPREAD)
-    return x, v, lam, w, max_iters, "inner Newton iteration cap hit"
+    return v, lam, w, max_iters, "inner Newton iteration cap hit"
 
 
 def solve(problem: RateProblem, cfg: SolverConfig | None = None):
@@ -446,7 +448,8 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     the last iterate and its certificate, with the gap bound at the tau
     being centered and the KKT report saying what fails; when a centering
     failed, that report pairs the iterate with lam = 1/(tau s).
-    Deterministic for fixed inputs.
+    The answer x is the nonnegativity block of the carried slacks, which
+    starts as 0 + x and takes x's steps.  Deterministic for fixed inputs.
     """
     cfg = cfg or SolverConfig()
     n_terms = 2 * problem.n_included
@@ -454,8 +457,8 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     gap_target_abs = cfg.duality_gap_tol * n_terms
 
     newton = _NewtonSystem(problem)
-    x = strictly_feasible_point(problem)
-    v = np.concatenate([problem.h, np.zeros(n_terms)]) + newton.M @ x    # (s, r)
+    v = (np.concatenate([problem.h, np.zeros(n_terms)])     # (s, r)
+         + newton.M @ strictly_feasible_point(problem))
     if np.any(v <= 0):
         raise InfeasibleProblemError("starting point is not strictly feasible")
     # 5% overshoot keeps the final reported gap strictly below the tolerance
@@ -468,8 +471,7 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     inner_total = 0
     while True:
         last = m_ineq / tau <= gap_target_abs
-        x, v, lam, w, inner, failure = _center(
-            x, v, lam, tau, last, cfg.max_inner_iters, newton)
+        v, lam, w, inner, failure = _center(v, lam, tau, last, cfg.max_inner_iters, newton)
         inner_total += inner
         trace.append(float(np.log(v[m_ineq:]).sum()))
         if failure or last:
@@ -480,6 +482,7 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
         # would leave the failure's KKT report saying nothing of x
         lam = 1.0 / (tau * v[:m_ineq])
 
+    x = v[problem.row_slices["nonneg"]]     # the slacks of -x <= 0 are x
     r_ul, r_dl = problem.rates_bps(x)
     solution = Solution(
         x=x, ue_ids=problem.ue_ids.copy(), r_ul_bps=r_ul, r_dl_bps=r_dl,
@@ -502,12 +505,6 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     return solution, certificate
 
 
-def t_matvec(mat: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
-    """mat' y, summed in the order mat.T @ y sums, without building mat.T."""
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    return np.bincount(mat.indices, weights=mat.data * y[rows], minlength=mat.shape[1])
-
-
 def check_kkt(problem: RateProblem, solution: Solution,
               tol: float = 1e-6, feas_tol: float = 1e-9) -> KktReport:
     """Verify stationarity, feasibility, dual feasibility, complementarity."""
@@ -519,8 +516,8 @@ def check_kkt(problem: RateProblem, solution: Solution,
                     report.violations["conservation_ul"])
 
     r = problem.U_mat @ x
-    grad0 = -t_matvec(problem.U_mat, 1.0 / r)
-    resid = grad0 + t_matvec(problem.G, lam) + t_matvec(problem.A, nu)
+    grad0 = -(problem.U_mat.T @ (1.0 / r))
+    resid = grad0 + problem.G.T @ lam + problem.A.T @ nu
     scale = max(1.0, float(np.abs(grad0).max()))
     stationarity = float(np.abs(resid).max()) / scale
 

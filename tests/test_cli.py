@@ -116,6 +116,18 @@ def test_bad_budget_value_is_config_error(tmp_path, capsys, command, key, value)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--k-list", "1"], ["verify"]])
+@pytest.mark.parametrize("key, value", [
+    ("output_dir", 5), ("output_dir", None), ("gains_csv", 7), ("topology_file", 3),
+    ("scenarios", "iab_st"), ("scenarios", ["iab_st", 5]), ("scenarios", {"iab_st": 1}),
+])
+def test_bad_config_type_is_config_error(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--k-list", "1"]])
 @pytest.mark.parametrize("topology", [
     [1, 2],

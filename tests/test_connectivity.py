@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from iabplan import (AnchorSet, ConnectivityError, Variant, access_load_balanced,
                      access_signal_strength, backhaul_mesh, backhaul_spanning_tree,
                      build_link_table, generate_grid, make_scenario, synthetic_gains)
-from iabplan.connectivity import bfs_tree, reachable, usable_pairs
+from iabplan.connectivity import bfs_tree, usable_pairs
 from iabplan.testkit import links_from_caps
 
 
@@ -177,7 +177,7 @@ class TestBfsTree:
             assert (len(path) - 1, tuple(path)) == best[v]
         # discovery order sorts the reached nodes by (depth, path)
         assert order.tolist() == sorted(best, key=lambda v: best[v])
-        assert (pred[~reachable(adj, seeds)] == -1).all()
+        assert (np.delete(pred, order) == -1).all()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 9), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
@@ -252,6 +252,13 @@ class TestSpanningTree:
         gains[0, 1] = gains[1, 0] = -80.0
         anchors = AnchorSet(np.array([True, False, False]))
         with pytest.raises(ConnectivityError, match=r"\[2\]"):
+            backhaul_spanning_tree(gains, anchors)
+        # the tree takes site 1, then stops at the stranded pair 2-3
+        gains = np.full((4, 4), -np.inf)
+        gains[0, 1] = gains[1, 0] = -80.0
+        gains[2, 3] = gains[3, 2] = -70.0
+        anchors = AnchorSet(np.array([True, False, False, False]))
+        with pytest.raises(ConnectivityError, match=r"\[2, 3\]"):
             backhaul_spanning_tree(gains, anchors)
 
     def test_tree_properties_on_grid(self):

@@ -1,14 +1,21 @@
-"""The gain rule of tools/pairs.py, on fixed numbers."""
+"""The gain rule of tools/pairs.py, on fixed numbers, and the summary line
+of tools/ladder.py on one small instance."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py")
-pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(pairs)
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs, ladder = _load("pairs"), _load("ladder")
 
 # median 0.505, quartiles 0.4875 and 0.5325: a quartile distance of 0.045
 PARENT = [0.50, 0.52, 0.48, 0.55, 0.51, 0.49, 0.53, 0.50, 0.54, 0.47]
@@ -53,3 +60,20 @@ def test_higher_is_better():
     v = pairs.gain_rule(PARENT, shifted(-0.1), better="higher")
     assert v.wins == 0 and v.gap == pytest.approx(-0.1)
     assert not v.holds
+
+
+def test_ladder_summary_line():
+    instances = [(2, 3, 30, 1, (1,))]       # five solves
+    line, gms = ladder.summarize("one", instances, None)
+    assert set(line) == {"set", "solves", "certified", "newton_steps", "worst_stationarity",
+                         "largest_inner_iters", "lam_min", "comp_gap_over_gap_rel_max",
+                         "trace_dip_max", "gm_digest", "seconds", "factor_nnz_max"}
+    assert line["set"] == "one"
+    assert line["solves"] == line["certified"] == len(gms) == 5
+    assert line["newton_steps"] > 0 and line["factor_nnz_max"] > 0
+    assert 0 < line["worst_stationarity"] <= 1e-6 and line["lam_min"] > 0
+    assert len(line["gm_digest"]) == 16
+    # the same GMs as reference: the bit-identity check of a refactor
+    again, _ = ladder.summarize("one", instances, {"one": gms})
+    assert again["gm_rel_diff_max"] == 0.0 and again["gm_compared"] == 5
+    assert again["gm_digest"] == line["gm_digest"]
