@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import csv
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import Variant, bfs_tree, make_scenario
+from .connectivity import Variant, make_scenario
 from .errors import DecompositionError, MetricsError
 from .geometry import AnchorSet, Topology, select_anchors
 from .linkbudget import LinkTable
@@ -123,8 +124,12 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
     non-anchor BS still has unmet delivered demand, peel the globally
     shortest (then lexicographically least) anchor-to-demand path at the
     bottleneck rate.  That path is the `bfs_tree` path to the first node in
-    discovery order with demand left; the tree changes only when a peel
-    empties an edge.  Each BS's hop count is the rate-weighted mean hop
+    discovery order with demand left: the lexicographically least shortest
+    path of node ids from an anchor, the order sorting nodes by (depth,
+    path).  The tree changes only when a peel empties an edge, and then
+    only below it: every other node keeps its path, which is still least.
+    So only the nodes below an emptied edge are searched again, from the
+    rest of the tree.  Each BS's hop count is the rate-weighted mean hop
     count of the paths that end there; anchors are exactly 0.
 
     Interior-point solutions leave small circulating flows on links the
@@ -143,36 +148,72 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
     flow = x[cls["dl_backhaul"]].copy()
     total_bh = sum(flow.tolist())     # summed left to right, in edge order
 
-    eps = 1e-12 + 1e-9 * max(np.max(flow, initial=1e-30), delivered.max())
-    demand = np.where(anchors.y, 0.0, delivered)
-    hops = np.full(B, np.nan)
-    hops[anchors.y] = 0.0
-    weighted = np.zeros(B)
-    peeled = np.zeros(B)
+    eps = float(1e-12 + 1e-9 * max(np.max(flow, initial=1e-30), delivered.max()))
+    # the peeling loop runs on Python floats, whose arithmetic is NumPy's float64
+    demand = np.where(anchors.y, 0.0, delivered).tolist()
+    rest, weighted, peeled = flow.tolist(), [0.0] * B, [0.0] * B
 
     tail = edges[:, 0].tolist()
-    while demand.max() > eps:
-        alive = np.flatnonzero(flow > eps)
-        pred, order = bfs_tree(B, edges[alive], anchors.y)
-        targets = order[demand[order] > eps]
-        if not targets.size:
+    live = [f > eps for f in rest]
+    into, out = [[] for _ in range(B)], [[] for _ in range(B)]
+    for e, (i, j) in enumerate(edges.tolist()):
+        into[j].append((i, e))
+        out[i].append((j, e))
+    # key[v] = (depth, node ids of v's tree path from its anchor), None while unreached
+    key = [(0, (v,)) if a else None for v, a in enumerate(anchors.y.tolist())]
+    pred = [-1] * B
+
+    def regrow(nodes):
+        """Give `nodes` their least keys through the settled tree, searching
+        them in key order (as `bfs_tree` discovers nodes)."""
+        for v in nodes:
+            key[v], pred[v] = None, -1
+        heap = [(key[u][0] + 1, key[u][1] + (v,), e) for v in nodes for u, e in into[v]
+                if live[e] and key[u] is not None]
+        heapq.heapify(heap)
+        while heap:
+            depth, path, e = heapq.heappop(heap)
+            v = path[-1]
+            if key[v] is None:
+                key[v], pred[v] = (depth, path), e
+                for w, f in out[v]:
+                    if live[f] and key[w] is None:
+                        heapq.heappush(heap, (depth + 1, path + (w,), f))
+
+    stale = np.flatnonzero(~anchors.y).tolist()
+    while max(demand) > eps:
+        regrow(stale)
+        order = sorted((v for v in range(B) if key[v] is not None), key=key.__getitem__)
+        targets = [v for v in order if demand[v] > eps]
+        if not targets:
             raise DecompositionError(
                 "unmet downlink demand with no remaining flow path "
-                f"(residual demand {demand.max():.3e})")
-        pred, alive = pred.tolist(), alive.tolist()
-        for b in targets.tolist():
+                f"(residual demand {max(demand):.3e})")
+        for b in targets:
             path, node = [], b
             while pred[node] >= 0:
-                path.append(alive[pred[node]])
+                path.append(pred[node])
                 node = tail[path[-1]]
-            q = min(demand[b], flow[path].min())
-            flow[path] -= q
+            q = min(demand[b], min(rest[e] for e in path))
+            for e in path:
+                rest[e] -= q
             demand[b] -= q
             weighted[b] += q * len(path)
             peeled[b] += q
-            if (flow[path] <= eps).any():
+            if any(rest[e] <= eps for e in path):
                 break
+        for e in path:
+            live[e] = rest[e] > eps
+        # the nodes whose tree path lost an edge, parents before children
+        cut = [False] * B
+        for v in order:
+            e = pred[v]
+            cut[v] = e >= 0 and (not live[e] or cut[tail[e]])
+        stale = [v for v in order if cut[v]]
 
+    flow, weighted, peeled = np.array(rest), np.array(weighted), np.array(peeled)
+    hops = np.full(B, np.nan)
+    hops[anchors.y] = 0.0
     has = peeled > 0
     hops[has] = weighted[has] / peeled[has]
 

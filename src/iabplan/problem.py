@@ -38,6 +38,7 @@ variable itself (see Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 11).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,6 +74,16 @@ class RateProblem:
     ue_ids: np.ndarray       # (N',) included UE ids
     excluded: dict           # ue id -> "no_link" | "starved"
     row_slices: dict = field(default_factory=dict)  # G row family -> slice
+
+    @cached_property
+    def transposes(self) -> tuple:
+        """CSC views of U_mat', G' and A', built once for `check_kkt`."""
+        return self.U_mat.T, self.G.T, self.A.T
+
+    @cached_property
+    def abs_A(self) -> sp.csr_matrix:
+        """|A|, built once for `validate`."""
+        return abs(self.A)
 
     @property
     def n_flow(self) -> int:
@@ -334,7 +345,7 @@ def validate(problem: RateProblem, candidate, tol: float = 1e-8) -> ValidationRe
             for family, slc in problem.row_slices.items()}
 
     A = problem.A
-    resid = np.abs(A @ x) / np.maximum(1.0, abs(A) @ np.abs(x))
+    resid = np.abs(A @ x) / np.maximum(1.0, problem.abs_A @ np.abs(x))
     viol["conservation_dl"] = float(resid[~problem.eq_ul].max(initial=0.0))
     viol["conservation_ul"] = float(resid[problem.eq_ul].max(initial=0.0))
 

@@ -26,7 +26,9 @@ geometric mean.  See docs/solver_notes.md for the full derivation.
 
 All computations run in capacity-normalized units (see problem.py); rates
 are converted to bps only at the reporting boundary.  The solve is
-deterministic: no randomized steps, single-threaded sparse factorizations.
+deterministic: no randomized steps, and the one dense factor per Newton
+step is LAPACK's, so iterates repeat bit for bit under one BLAS build and
+thread count.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .connectivity import bfs_tree
 from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
@@ -51,9 +52,7 @@ _STEP_SHRINK = 0.5
 _BOUNDARY_BACKOFF = 0.99
 _LAM_SPREAD = 1e10         # carried lam stays within this factor of 1/(tau s)
 _REG = 1e-14               # primal-dual regularization of the Newton system
-_REFINE_PASSES = 3         # refinement passes per Newton step
-_LU_RELAX = 1              # SuperLU relaxed-supernode size and panel width
-_LU_PANEL = 1              # (docs: Factorization parameters)
+_REFINE_PASSES = 3         # refinement passes per Newton step, last centering
 
 
 @dataclass(frozen=True)
@@ -196,9 +195,8 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
 
 
 class _NewtonSystem:
-    """Regularized augmented KKT system of the Newton step with the capacity
-    slacks eliminated in closed form, factored in one fill-reducing order
-    per solve.
+    """Regularized augmented KKT system of the Newton step, solved by block
+    elimination onto the base-station rows and one dense Cholesky factor.
 
     In slack coordinates sigma_k = c_k t_k - f_k the unknowns are
     dy = (dsigma, dt, dm), so dx = (c dt - dsigma, dt, dm), and z for the
@@ -209,22 +207,32 @@ class _NewtonSystem:
 
         dsigma = (g_sigma + c d_f dt + R_f' z) / (a + d_f).
 
-    The factored matrix holds only (dt, dm, z): t_k's pivot is
-    d_t + c^2 d_f a/(a + d_f), t_k's entries on f_k's rows are R_f's scaled
-    by c a/(a + d_f), and the row block is -(D + R_f diag(1/(a + d_f)) R_f').
-    A tight capacity row's huge a never meets d_t in a difference, so
-    nothing cancels.  Relies on assemble's layout: G's rows open with
-    capacity row k, f_k - c_k t_k, and close with nonnegativity row i, -x_i,
-    and every flow enters two rows of R, one at each end.
+    That leaves N, over (dt, dm, z): the diagonal p = (d_t + c^2 d_f q, d_m)
+    with q = a/(a + d_f), the coupling E = [R_f diag(cq) + R_t, R_m] and the
+    row block -(D + R_f diag(1/(a + d_f)) R_f').  The solver factors
+    N_delta, N with +_REG on the (dt, dm) diagonal and -_REG on every row
+    diagonal, in three stages:
 
-    The pattern, and one sparse map from the per-link weights to its values,
-    are built here.  The factored matrix adds +_REG on the (dt, dm) diagonal
-    and -_REG on every row diagonal, which makes it quasidefinite: it
-    factors without pivoting under any symmetric order.  The first step
-    factors in SuperLU's minimum-degree order, which is then folded into the
-    stored pattern, and every later step factors in that order.  Refinement
-    against the unregularized system recovers the step.  See
-    docs/solver_notes.md, "Augmented system" to "Refinement".
+    1. (dt, dm) is diagonal with positive pivots, which leaves the
+       positive definite W = D + _REG + R_f diag(1/(a + d_f)) R_f'
+       + E diag(1/p) E' over the rows;
+    2. W is diagonal on the rate rows, since no flow enters two of them and
+       each t_k meets at most one (through f_k), so they are eliminated too;
+    3. what is left spans the resource, fiber and conservation rows, at
+       most 3 per BS whatever the UE count, and is factored by dense
+       Cholesky (LAPACK dpotrf).
+
+    W sums, per flow, alpha (R_f e_k)(R_f e_k)' + beta ((R_f e_k)(R_t e_k)'
+    + its transpose) + gamma (R_t e_k)(R_t e_k)', with gamma = 1/p,
+    beta = c q gamma and alpha = 1/(a + d_f) + c q beta, and gamma
+    (R_m e_j)(R_m e_j)' per fiber variable.  The entry pairs of those
+    columns are listed here, and each step's block is one bincount of them
+    and of the rate-row elimination's pairs.  Relies on assemble's layout:
+    G's rows open with capacity row k, f_k - c_k t_k, and close with
+    nonnegativity row i, -x_i, and the access flows come first, each
+    entering one rate row and one conservation row, its t_k one resource
+    row.  Refinement against the unregularized system recovers the step.
+    See docs/solver_notes.md, "Augmented system" to "Refinement".
     """
 
     def __init__(self, problem: RateProblem):
@@ -238,112 +246,123 @@ class _NewtonSystem:
                                  (G.indptr[self.sl_c.start:self.sl_c.stop + 1], G.indices, G.data),
                                  (A.indptr, A.indices, A.data)], n)
         self.M_t, self.R_t = self.M.T, R.T          # CSC views
-        nt, n_row = n - nf, R.shape[0]
-        self.size, self.n_eq = nt + n_row, A.shape[0]
-        self._reg = np.repeat([_REG, -_REG], [nt, n_row])
-        self._flows = np.zeros(n)        # flow-column vectors, zero past nf, for R
+        n_u = U.shape[0]
+        self.n_u, self.n_eq = n_u, A.shape[0]
+        self.n_b = n_b = R.shape[0] - n_u           # resource, fiber and conservation rows
+        self._vec = np.zeros(n)
 
-        # value = sum of coef * weight[w] over the slot's terms, the weights
-        # being (t pivots, d_m, c a/(a + d_f), 1/(a + d_f), D, 1)
-        o_cq, o_inv, o_d, one = nt, n, n + nf, n + nf + n_row
-        self._weights = np.append(np.zeros(one), 1.0)
-        f = R.indices < nf                              # entries in flow columns
-        ent_row = np.repeat(np.arange(n_row), np.diff(R.indptr))
-        pos = np.where(f, R.indices, R.indices - nf)    # f_k's and t_k's entries go to dt_k
-        w_ent = np.where(f, o_cq + R.indices, one)
-        fr, fc, fv = nt + ent_row[f], R.indices[f], R.data[f]
-        # pair the two entries of every f column (its two ends), and each with itself
-        ends, own = np.argsort(fc, kind="stable").reshape(-1, 2).T, np.arange(fc.size)
-        pr, pc = np.concatenate([own, ends[0], ends[1]]), np.concatenate([own, ends[1], ends[0]])
-        diag = np.arange(self.size)
-        self._terms = (np.concatenate([diag, diag, pos, nt + ent_row, fr[pr]]),      # rows
-                       np.concatenate([diag, diag, nt + ent_row, pos, fr[pc]]),      # columns
-                       np.concatenate([diag[:nt], o_d + np.arange(n_row), np.full(self.size, one),
-                                       w_ent, w_ent, o_inv + fc[pr]]),                # weights
-                       np.concatenate([np.ones(nt), -np.ones(n_row), self._reg, R.data, R.data,
-                                       -fv[pr] * fv[pc]]))                            # coefs
-        self._store(diag)            # _terms stay until the first factor's order is in
-
-    def _store(self, pos):
-        """Build the pattern in CSC order, with unknown i at row and column
-        pos[i], and the map whose product with the weights gives its values."""
-        rows, cols, widx, coef = self._terms
-        n_w = self._weights.size
-        term = (pos[cols] * self.size + pos[rows]) * n_w + widx
-        order = np.argsort(term)
-        key = term[order] // n_w
-        first = np.flatnonzero(np.diff(key, prepend=-1))      # one slot per (column, row)
-        self._map = sp.csr_matrix((coef[order], widx[order], np.append(first, key.size)),
-                                  shape=(first.size, n_w))
-        col, row = np.divmod(key[first], self.size)
-        self.kkt = sp.csc_matrix((np.zeros(row.size), row, np.searchsorted(
-            col, np.arange(self.size + 1))), shape=(self.size, self.size))
-        self._pos, self._ipos = pos, np.argsort(pos)
-        self._reg_perm = self._reg[self._ipos]
+        # the column pairs of R whose entries meet in W, with the index of
+        # their weight in (alpha, beta, gamma), which sit at k, nf + k and
+        # nf + column: f_k with itself and with t_k for the access flows in
+        # rate-row order, then for the other flows, t_k with f_k, and every
+        # t and m column with itself
+        acc, k, j = U.indices, np.arange(nf), np.arange(nf, n)
+        rest, ft = np.arange(acc.size, nf), np.stack([acc, nf + acc], axis=1).ravel()
+        a = np.concatenate([np.repeat(acc, 2), rest, rest, nf + k, j])
+        b = np.concatenate([ft, rest, nf + rest, k, j])
+        w = np.concatenate([ft, rest, nf + rest, nf + k, nf + j])
+        Rc = R.tocsc()
+        p, q, g = _pairs(Rc.indptr, a, b)
+        rp, rq = Rc.indices[p], Rc.indices[q]
+        coef, w = Rc.data[p] * Rc.data[q], w[g]
+        to_b, from_u = rq >= n_u, rp < n_u
+        lower = to_b & (rp >= rq)                   # the lower triangle of the BS rows
+        coupled = to_b & from_u                     # rate row rp, BS row rq, by rate row
+        own = from_u & ~to_b                        # a rate row's own diagonal
+        self._du = (rp[own], w[own], coef[own])
+        self._x = (rp[coupled], rq[coupled] - n_u, w[coupled], coef[coupled])
+        xu, xb = self._x[:2]
+        # pairs of couplings of one rate row, which its elimination joins
+        pp, pq, _ = _pairs(np.concatenate([[0], np.cumsum(np.bincount(xu, minlength=n_u))]),
+                           np.arange(n_u), np.arange(n_u))
+        low = xb[pp] >= xb[pq]
+        self._pair = (pp[low], pq[low], xu[pp[low]])
+        self._flat = np.concatenate([rp[lower] - n_u + (rq[lower] - n_u) * n_b,
+                                     xb[pp[low]] + xb[pq[low]] * n_b])
+        self._block = (w[lower], coef[lower])
 
     def solve(self, s: np.ndarray, r: np.ndarray, lam: np.ndarray, grad: np.ndarray,
               full: bool = True):
         """Newton step (dx, w) at slacks s = h - Gx, rates r = Ux and
         inequality multipliers lam, with row weights lam / s, or None when
-        SuperLU finds the factor singular.  With `full`, _REFINE_PASSES
-        passes refine the step against the whole unregularized system,
-        dsigma rows included; without, one pass refines it in the reduced
-        system."""
+        the dense factor is not positive definite.  The step is refined
+        against the whole unregularized system, dsigma rows included:
+        _REFINE_PASSES passes with `full`, one without."""
         p = self.problem
-        nf, n, c = p.n_flow, p.n_var, p.cap
-        nt = n - nf
+        nf, n, c, n_u, n_b = p.n_flow, p.n_var, p.cap, self.n_u, self.n_b
         wt = lam / s
         a, d = wt[:nf], wt[-n:]         # capacity rows come first, nonnegativity last
         d_f, d_t, d_m = d[:nf], d[nf:2 * nf], d[2 * nf:]
-        cd = c * d_f
-        inv = 1.0 / (a + d_f)
+        cd, a_f = c * d_f, a + d_f
+        inv = 1.0 / a_f
         cq = c * a * inv
-        weights = self._weights         # A's rows keep D = 0, and the last weight 1
-        np.concatenate([d_t + cd * cq, d_m, cq, inv, r ** 2, 1.0 / wt[self.sl_c]],
-                       out=weights[:-1 - self.n_eq])
-        row_d = weights[n + nf:-1]
-        kkt, reg, R, R_t, flows = self.kkt, self._reg_perm, self.R, self.R_t, self._flows
-        pos, ipos = self._pos, self._ipos       # the order the first factor sees
-        kkt.data[:] = self._map @ weights
-        order = ({"permc_spec": "NATURAL"} if self._terms is None else
-                 {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}})
-        try:
-            lu = spla.splu(kkt, diag_pivot_thresh=0, relax=_LU_RELAX,
-                           panel_size=_LU_PANEL, **order)
-        except RuntimeError:             # SuperLU: "Factor is exactly singular"
+        gam = 1.0 / (np.concatenate([d_t + cd * cq, d_m]) + _REG)
+        beta = cq * gam[:nf]
+        weights = np.concatenate([inv + cq * beta, beta, gam])
+        row_d = np.concatenate([r ** 2, 1.0 / wt[self.sl_c], np.zeros(self.n_eq)])
+
+        du_row, du_w, du_c = self._du
+        du = 1.0 / (row_d[:n_u] + _REG + np.bincount(du_row, weights[du_w] * du_c,
+                                                     minlength=n_u))
+        xu, xb, xw, xc = self._x
+        x = weights[xw] * xc
+        pp, pq, pu = self._pair
+        bw, bc = self._block
+        block = np.bincount(self._flat, np.concatenate([weights[bw] * bc,
+                                                        -(x[pp] * x[pq] * du[pu])]),
+                            minlength=n_b * n_b)
+        block[::n_b + 1] += row_d[n_u:] + _REG
+        factor, info = dpotrf(block.reshape((n_b, n_b), order="F"), lower=1, clean=0,
+                              overwrite_a=1)
+        if info > 0:                     # not positive definite: no step
             return None
-        if self._terms is not None:    # fold the first factor's order into the pattern
-            self._store(lu.perm_c.astype(np.intp))
-            self._terms = None
+        R, R_t, vec = self.R, self.R_t, self._vec
 
-        def eliminated(g_s, g_t, g_m, g_z, passes):
+        def eliminated(g_s, g_t, g_m, dx=0.0, dz=0.0):
             """Solve the full system, with +-_REG on every diagonal but
-            dsigma's, for g = (g_sigma, g_t, g_m, g_z): reduce in factor order,
-            solve with `passes` refinement passes, back-substitute."""
-            np.multiply(inv, g_s, out=flows[:nf])
-            b = np.concatenate([g_t + cd * inv * g_s, g_m, g_z + R @ flows])[ipos]
-            y = lu.solve(b)
-            for _ in range(passes):
-                y += lu.solve(b - kkt @ y + reg * y)
-            y = y[pos]
-            return np.concatenate([inv * (g_s + cd * y[:nf] + (R_t @ y[nt:])[:nf]), y])
-
-        def residual(v):
-            """g minus the unregularized full system times v = (dsigma, dt, dm, z)."""
-            sigma, t, z = v[:nf], v[nf:2 * nf], v[n:]
+            dsigma's, for g = (g_sigma, g_t, g_m, dz - R dx): reduce to the
+            rows, eliminate the rate rows, solve on the factor, and
+            back-substitute.  Returns the solution (dsigma, dt, dm, z) and R'z."""
+            h = inv * g_s
+            u_y = np.concatenate([g_t + cd * h, g_m]) * gam
+            np.subtract(cq * u_y[:nf], h, out=vec[:nf])
+            vec[nf:] = u_y
+            rows = R @ (vec + dx) - dz      # E u - (g_z + R_f h), u the pivot-scaled rhs
+            c_u = rows[:n_u] * du
+            z_b = dpotrs(factor, rows[n_u:] - np.bincount(xb, x * c_u[xu], minlength=n_b),
+                         lower=1)[0]
+            z = np.concatenate([c_u - du * np.bincount(xu, x * z_b[xb], minlength=n_u), z_b])
             y = R_t @ z
-            dx = np.concatenate([c * t - sigma, v[nf:n]])
-            return (g_s - ((a + d_f) * sigma - cd * t - y[:nf]),
-                    g_t - ((c * c * d_f + d_t) * t - cd * sigma + c * y[:nf] + y[nf:2 * nf]),
-                    g_m - (d_m * v[2 * nf:n] + y[2 * nf:]),
-                    -(R @ dx - row_d * z))
+            dt = u_y[:nf] - gam[:nf] * (cq * y[:nf] + y[nf:2 * nf])
+            return np.concatenate([inv * (g_s + cd * dt + y[:nf]), dt,
+                                   u_y[nf:] - gam[nf:] * y[2 * nf:], z]), y
 
         # the Newton right-hand side in slack coordinates, zero on the rows
         g_s, g_t, g_m = grad[:nf], -(c * grad[:nf] + grad[nf:2 * nf]), -grad[2 * nf:]
-        v = eliminated(g_s, g_t, g_m, 0.0, 0 if full else 1)
-        for _ in range(_REFINE_PASSES if full else 0):
-            v += eliminated(*residual(v), 0)
+        v, y = eliminated(g_s, g_t, g_m)
+        c_tt = c * cd + d_t
+        for _ in range(_REFINE_PASSES if full else 1):
+            # the residual of the unregularized full system at v = (dsigma, dt, dm, z),
+            # whose R'z is y, and a correction from it
+            sigma, t, m = v[:nf], v[nf:2 * nf], v[2 * nf:n]
+            dv, dy = eliminated(g_s - (a_f * sigma - cd * t - y[:nf]),
+                                g_t - (c_tt * t - cd * sigma + c * y[:nf] + y[nf:2 * nf]),
+                                g_m - (d_m * m + y[2 * nf:]),
+                                np.concatenate([c * t - sigma, v[nf:n]]), row_d * v[n:])
+            v += dv
+            y += dy
         return np.concatenate([c * v[nf:2 * nf] - v[:nf], v[nf:n]]), v[-self.n_eq:]
+
+
+def _pairs(ptr, a, b):
+    """Every pair (p, q) of an entry p of column a[i] and an entry q of
+    column b[i] of a compressed matrix with index pointer ptr, and its i."""
+    na, nb = ptr[a + 1] - ptr[a], ptr[b + 1] - ptr[b]
+    size = na * nb
+    i = np.repeat(np.arange(a.size), size)
+    off = np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
+    nb_i = nb[i]
+    return ptr[a][i] + off // nb_i, ptr[b][i] + off % nb_i, i
 
 
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
@@ -361,8 +380,8 @@ def _center(v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
     inequality multipliers lam > 0.  x itself is not carried: its
     nonnegativity slacks h - (-x) = x are a block of s, stepped alike.
     The last centering stops at the decrement `_NEWTON_TOL` and refines
-    each step against the full system; the others stop at `_PATH_TOL` and
-    take one reduced refinement pass.
+    each step by `_REFINE_PASSES` passes; the others stop at `_PATH_TOL`
+    and take one pass.
 
     Returns (v, lam, w, iters, failure): the last iterate's carried slacks
     and rates and multipliers, the conservation multipliers, the number of
@@ -515,9 +534,10 @@ def check_kkt(problem: RateProblem, solution: Solution,
     primal_eq = max(report.violations["conservation_dl"],
                     report.violations["conservation_ul"])
 
+    U_t, G_t, A_t = problem.transposes
     r = problem.U_mat @ x
-    grad0 = -(problem.U_mat.T @ (1.0 / r))
-    resid = grad0 + problem.G.T @ lam + problem.A.T @ nu
+    grad0 = -(U_t @ (1.0 / r))
+    resid = grad0 + G_t @ lam + A_t @ nu
     scale = max(1.0, float(np.abs(grad0).max()))
     stationarity = float(np.abs(resid).max()) / scale
 

@@ -10,6 +10,7 @@ from iabplan import (AnchorSet, MetricsError, RateReport, Solution, SolverConfig
                      fiber_sweep, generate_grid, hop_counts, make_report,
                      make_scenario, rate_cdf, select_anchors, solve,
                      sweep_summary, synthetic_gains)
+from iabplan.connectivity import bfs_tree
 from iabplan.metrics import sweep_to_csv, top_decile_mean
 from iabplan.testkit import analytic_chain_instance, links_from_caps
 
@@ -160,6 +161,26 @@ class TestHopCounts:
                         (hr.hops, hr.peeled_bps, np.float64(hr.residual_rel)))
         assert digests == self.GOLDEN[variant]
 
+    @pytest.mark.parametrize("rows, cols, n_ues, seed, k", [
+        (3, 6, 60, 1, 7), (3, 6, 60, 2, 7), (2, 4, 40, 5, 1), (2, 4, 40, 5, 3)])
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_matches_trees_rebuilt_from_scratch(self, rows, cols, n_ues, seed, k, variant):
+        # hop_counts searches again only below an emptied edge; the paths
+        # it peels, and so every number it reports, are those of a peeling
+        # that rebuilds the whole `bfs_tree` after every emptied edge
+        topo = generate_grid(rows, cols, 200.0, n_ues, seed)
+        links = build_link_table(synthetic_gains(topo))
+        anchors = select_anchors(topo, k, "greedy-coverage", links=links, seed=seed)
+        prob = assemble(links, make_scenario(variant, links, anchors, seed=seed), anchors)
+        sol, _ = solve(prob)
+        hr = hop_counts(prob, sol, anchors)
+        weighted, peeled, flow = rebuilt_peeling(prob, sol, anchors)
+        has = peeled > 0
+        assert np.array_equal(hr.peeled_bps, peeled * sol.scale_bps)
+        assert np.array_equal(hr.hops[has], weighted[has] / peeled[has])
+        total = sum(sol.x[prob.flow_class_slices()["dl_backhaul"]].tolist())
+        assert hr.residual_rel == (sum(flow.tolist()) / total if total > 0 else 0.0)
+
     @pytest.mark.parametrize("variant", sorted(GOLDEN))
     def test_solve_matches_recorded_solution(self, variant):
         # a fresh solve reaches the recorded answer to the solver's own
@@ -262,3 +283,33 @@ class TestCompareTable:
 def test_top_decile_mean():
     report = small_report(list(range(1, 21)))
     assert top_decile_mean(report, "ul") == pytest.approx(19.5e6)
+
+
+def rebuilt_peeling(prob, sol, anchors):
+    """hop_counts' peeling with the tree rebuilt by `bfs_tree` over the
+    edges left after every emptied edge: the hop-weighted and the peeled
+    rate per BS, in normalized units, and the leftover backhaul flow."""
+    B, edges = prob.n_bs, prob.dl_backhaul
+    cls = prob.flow_class_slices()
+    delivered = np.bincount(prob.dl_access[:, 0], weights=sol.x[cls["dl_access"]],
+                            minlength=B)
+    flow = sol.x[cls["dl_backhaul"]].copy()
+    eps = 1e-12 + 1e-9 * max(np.max(flow, initial=1e-30), delivered.max())
+    demand = np.where(anchors.y, 0.0, delivered)
+    weighted, peeled = np.zeros(B), np.zeros(B)
+    while demand.max() > eps:
+        alive = np.flatnonzero(flow > eps)
+        pred, order = bfs_tree(B, edges[alive], anchors.y)
+        for b in order[demand[order] > eps].tolist():
+            path, node = [], b
+            while pred[node] >= 0:
+                path.append(alive[pred[node]])
+                node = edges[path[-1], 0]
+            q = min(demand[b], flow[path].min())
+            flow[path] -= q
+            demand[b] -= q
+            weighted[b] += q * len(path)
+            peeled[b] += q
+            if (flow[path] <= eps).any():
+                break
+    return weighted, peeled, flow

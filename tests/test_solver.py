@@ -12,6 +12,7 @@ from iabplan import (AnchorSet, BudgetConfig, ConfigError, ConvergenceError,
                      SolverConfig, Variant, assemble, build_link_table, check_kkt,
                      generate_grid, make_scenario, select_anchors, solve,
                      strictly_feasible_point, synthetic_gains, validate)
+from iabplan import solver
 from iabplan.solver import _NewtonSystem
 from iabplan.testkit import (analytic_chain_instance, analytic_single_instance,
                              links_from_caps, random_tiny_instance)
@@ -184,19 +185,18 @@ class TestFailureModes:
         assert_failure_certificate(err, prob)
 
     def test_singular_factor_is_typed_failure(self, monkeypatch):
-        # SuperLU raises RuntimeError on an exactly singular factor; a solve
-        # that meets one mid-way fails typed, with its best iterate paired
-        # with lam = 1/(tau s)
+        # dpotrf reports info > 0 when the dense block is not positive
+        # definite; a solve that meets one mid-way fails typed, with its best
+        # iterate paired with lam = 1/(tau s)
         calls = []
 
-        def splu(*args, **kwargs):
+        def dpotrf(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 6:
-                raise RuntimeError("Factor is exactly singular")
-            return original(*args, **kwargs)
+            factor, info = original(*args, **kwargs)
+            return factor, (1 if len(calls) == 6 else info)
 
-        original = spla.splu
-        monkeypatch.setattr(spla, "splu", splu)
+        original = solver.dpotrf
+        monkeypatch.setattr(solver, "dpotrf", dpotrf)
         prob = grid_problem(2, 3, 30, 5, 2, "iab_mesh_lb")
         with pytest.raises(ConvergenceError, match="singular Newton matrix") as err:
             solve(prob)
@@ -386,24 +386,21 @@ def slack_system(prob, s, r, lam):
 
 
 class TestRegularizedNewtonSystem:
-    def test_fill_and_one_ordering_per_solve(self, monkeypatch):
-        nnz, orders = [], []
-
-        def splu(*args, **kwargs):
-            lu = original(*args, **kwargs)
-            nnz.append(lu.nnz)
-            orders.append(kwargs.get("permc_spec"))
-            return lu
-
-        original = spla.splu
-        monkeypatch.setattr(spla, "splu", splu)
-        _, cert = solve_checked(grid_problem(3, 6, 60, 1, 7, "iab_mesh_lb"))
-        # 12,866 with the capacity slacks eliminated, 20,290 with them kept
-        # and 121k with natural order and pivoting
-        assert max(nnz) <= 16_000
-        # one factor per Newton step; the first one also chooses the order
-        assert len(nnz) == cert.inner_iters + cert.outer_iters
-        assert orders.count("MMD_AT_PLUS_A") == 1
+    def test_one_dense_factor_per_newton_step(self, monkeypatch):
+        # no sparse LU: one dense Cholesky factor per Newton step, over the
+        # resource, fiber and conservation rows alone
+        sides, lus = [], []
+        original, splu = solver.dpotrf, spla.splu
+        monkeypatch.setattr(solver, "dpotrf", lambda a, **kw: sides.append(a.shape) or
+                            original(a, **kw))
+        monkeypatch.setattr(spla, "splu", lambda *a, **kw: lus.append(None) or splu(*a, **kw))
+        prob = grid_problem(3, 6, 60, 1, 7, "iab_mesh_lb")
+        _, cert = solve_checked(prob)
+        rs = prob.row_slices
+        side = rs["fiber"].stop - rs["resource"].start + prob.A.shape[0]
+        assert not lus
+        assert sides == [(side, side)] * (cert.inner_iters + cert.outer_iters)
+        assert side == 61
 
     @pytest.mark.parametrize("seed, off_path", SEED_PATHS)
     @pytest.mark.parametrize("tau", [1.0, 1e3, 1e6, 1e9])
@@ -431,29 +428,35 @@ class TestRegularizedNewtonSystem:
         pytest.param(lambda: grid_problem(2, 3, 30, 5, 2, "iab_mesh_lb"), id="2x3-mesh_lb"),
         pytest.param(lambda: grid_problem(3, 6, 60, 1, 7, "iab_mesh_lb"), id="3x6-mesh_lb"),
     ])
-    def test_factored_matrix_is_the_reduced_system(self, make):
-        # read back in the original order through _pos and less its +-_REG,
-        # the factored matrix is the slack system with the capacity slacks
-        # eliminated (the Schur complement of their diagonal block), at any
-        # positive weights: this pins the stored pattern and value map (the
-        # entries measure within 1.6e-15 relative, and within 4e-16 of the
-        # largest entry)
+    def test_factored_matrix_is_the_reduced_system(self, make, monkeypatch):
+        # the factored block is minus the Schur complement, onto the
+        # resource, fiber and conservation rows, of the slack system with
+        # +delta on (dt, dm) and -delta on every row diagonal, the capacity
+        # slacks, (dt, dm) and the rate rows eliminated, at any positive
+        # weights.  At the solver's delta and at one large enough to show,
+        # which pins its signs; the entries measure within 1.2e-13 relative,
+        # and within 7.2e-16 of the largest entry
         prob = make()
         rng = np.random.default_rng(3)
-        m, nf = prob.G.shape[0], prob.n_flow
+        m, nf, n = prob.G.shape[0], prob.n_flow, prob.n_var
         s, lam = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m)
         r = rng.uniform(0.5, 2.0, 2 * prob.n_included)
-        newton = _NewtonSystem(prob)
-        for _ in range(2):          # the second step factors the reordered pattern
-            newton.solve(s, r, lam, rng.standard_normal(prob.n_var), full=False)
-        pos = newton._pos
-        got = newton.kkt.toarray()[np.ix_(pos, pos)] - np.diag(newton._reg)
-
         K = slack_system(prob, s, r, lam)[0].toarray()
         sigma = np.diag(K)[:nf]
         assert np.array_equal(K[:nf, :nf], np.diag(sigma))
-        ref = K[nf:, nf:] - K[nf:, :nf] @ (K[:nf, nf:] / sigma[:, None])
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+        blocks, original = [], solver.dpotrf
+        monkeypatch.setattr(solver, "dpotrf", lambda a, **kw: blocks.append(np.tril(a)) or
+                            original(a, **kw))
+        for delta in (solver._REG, 1e-3):
+            monkeypatch.setattr(solver, "_REG", delta)
+            _NewtonSystem(prob).solve(s, r, lam, rng.standard_normal(n), full=False)
+            K_delta = K + np.diag(np.r_[np.zeros(nf), np.full(n - nf, delta),
+                                        np.full(K.shape[0] - n, -delta)])
+            k = n + 2 * prob.n_included          # sigma, (t, m) and the rate rows
+            ref = -(K_delta[k:, k:] - K_delta[k:, :k] @ np.linalg.solve(K_delta[:k, :k],
+                                                                        K_delta[:k, k:]))
+            np.testing.assert_allclose(blocks.pop(), np.tril(ref), rtol=1e-12,
+                                       atol=1e-13 * np.abs(ref).max())
 
     def test_released_without_garbage_collection(self):
         prob = random_tiny_instance(0)

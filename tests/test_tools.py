@@ -67,10 +67,11 @@ def test_ladder_summary_line():
     line, gms = ladder.summarize("one", instances, None)
     assert set(line) == {"set", "solves", "certified", "newton_steps", "worst_stationarity",
                          "largest_inner_iters", "lam_min", "comp_gap_over_gap_rel_max",
-                         "trace_dip_max", "gm_digest", "seconds", "factor_nnz_max"}
+                         "trace_dip_max", "gm_digest", "seconds", "dense_side_max"}
     assert line["set"] == "one"
     assert line["solves"] == line["certified"] == len(gms) == 5
-    assert line["newton_steps"] > 0 and line["factor_nnz_max"] > 0
+    assert line["newton_steps"] > 0
+    assert 0 < line["dense_side_max"] <= 3 * 6 + 1     # 3 rows per BS and the fiber row
     assert 0 < line["worst_stationarity"] <= 1e-6 and line["lam_min"] > 0
     assert len(line["gm_digest"]) == 16
     # the same GMs as reference: the bit-identity check of a refactor

@@ -17,9 +17,11 @@ largest ratio of the measured complementarity gap (`check_kkt`'s
 comp_gap_rel) to the central-path one (`gap_rel`), the largest relative
 dip of an objective trace, a digest of the GMs rounded to 9 significant
 digits, the set's wall seconds (building and solving every instance) and
-the largest L+U nonzero count of any SuperLU factor.  `--gms` writes every
+the largest side of any dense block the solver factors (its resource,
+fiber and conservation rows).  `--gms` writes every
 GM to a JSON file, and `--against` adds the largest relative GM difference
-from such a file.  The city set takes 8-17 s on a 2-CPU VM; the ladder is
+from such a file.  The city set takes 4-5 s on a 2-CPU VM with
+OPENBLAS_NUM_THREADS=1 (8-9 s with the default threads); the ladder is
 tooling, not a test.
 """
 
@@ -33,11 +35,11 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import iabplan as ip  # noqa: E402
+from iabplan import solver  # noqa: E402
 
 INTER_SITE_M = 200.0
 
@@ -71,20 +73,19 @@ def solves(instances):
 def summarize(name, instances, reference):
     # solve returns only certified answers; a failure leaves sol None
     gms, steps, worst_stat, longest, lam_min, gap_ratio, dip = {}, 0, 0.0, 0, np.inf, 0.0, 0.0
-    factor_nnz, original = 0, spla.splu
+    side, original = 0, solver.dpotrf
 
-    def splu(*args, **kwargs):
-        nonlocal factor_nnz
-        lu = original(*args, **kwargs)
-        factor_nnz = max(factor_nnz, lu.nnz)
-        return lu
+    def dpotrf(a, **kwargs):
+        nonlocal side
+        side = max(side, a.shape[0])
+        return original(a, **kwargs)
 
     start = time.perf_counter()
-    spla.splu = splu
+    solver.dpotrf = dpotrf
     try:
         results = list(solves(instances))
     finally:
-        spla.splu = original
+        solver.dpotrf = original
     seconds = time.perf_counter() - start
     for label, sol, cert in results:
         steps += cert.inner_iters + cert.outer_iters
@@ -105,7 +106,7 @@ def summarize(name, instances, reference):
             "worst_stationarity": worst_stat, "largest_inner_iters": longest,
             "lam_min": lam_min, "comp_gap_over_gap_rel_max": gap_ratio,
             "trace_dip_max": dip, "gm_digest": digest[:16],
-            "seconds": round(seconds, 2), "factor_nnz_max": factor_nnz}
+            "seconds": round(seconds, 2), "dense_side_max": side}
     if reference is not None:
         ref = reference.get(name, {})
         common = sorted(set(gms) & set(ref))
