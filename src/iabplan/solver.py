@@ -51,7 +51,6 @@ _ARMIJO = 0.25
 _STEP_SHRINK = 0.5
 _BOUNDARY_BACKOFF = 0.99
 _LAM_SPREAD = 1e10         # carried lam stays within this factor of 1/(tau s)
-_REG = 1e-14               # primal-dual regularization of the Newton system
 _REFINE_PASSES = 3         # refinement passes per Newton step, last centering
 
 
@@ -195,8 +194,8 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
 
 
 class _NewtonSystem:
-    """Regularized augmented KKT system of the Newton step, solved by block
-    elimination onto the base-station rows and one dense Cholesky factor.
+    """Augmented KKT system of the Newton step, solved by block elimination
+    onto the base-station rows and one dense Cholesky factor.
 
     In slack coordinates sigma_k = c_k t_k - f_k the unknowns are
     dy = (dsigma, dt, dm), so dx = (c dt - dsigma, dt, dm), and z for the
@@ -209,30 +208,32 @@ class _NewtonSystem:
 
     That leaves N, over (dt, dm, z): the diagonal p = (d_t + c^2 d_f q, d_m)
     with q = a/(a + d_f), the coupling E = [R_f diag(cq) + R_t, R_m] and the
-    row block -(D + R_f diag(1/(a + d_f)) R_f').  The solver factors
-    N_delta, N with +_REG on the (dt, dm) diagonal and -_REG on every row
-    diagonal, in three stages:
+    row block -(D + R_f diag(1/(a + d_f)) R_f').  The solver factors N in
+    three stages:
 
-    1. (dt, dm) is diagonal with positive pivots, which leaves the
-       positive definite W = D + _REG + R_f diag(1/(a + d_f)) R_f'
-       + E diag(1/p) E' over the rows;
+    1. (dt, dm) is diagonal with positive pivots, which leaves
+       W = D + R_f diag(1/(a + d_f)) R_f' + E diag(1/p) E' over the rows;
     2. W is diagonal on the rate rows, since no flow enters two of them and
        each t_k meets at most one (through f_k), so they are eliminated too;
     3. what is left spans the resource, fiber and conservation rows, at
        most 3 per BS whatever the UE count, and is factored by dense
        Cholesky (LAPACK dpotrf).
 
-    W sums, per flow, alpha (R_f e_k)(R_f e_k)' + beta ((R_f e_k)(R_t e_k)'
-    + its transpose) + gamma (R_t e_k)(R_t e_k)', with gamma = 1/p,
-    beta = c q gamma and alpha = 1/(a + d_f) + c q beta, and gamma
-    (R_m e_j)(R_m e_j)' per fiber variable.  The entry pairs of those
+    W = D + R K^-1 R', with K the positive definite block of (dsigma, dt,
+    dm).  D >= 0 is zero only on the conservation rows, and a z on those
+    alone has R'z != 0 because A has full row rank (problem.py), so W and
+    stage 3's block, its Schur complement, are positive definite with no
+    regularization.  W sums, per flow, alpha (R_f e_k)(R_f e_k)' + beta
+    ((R_f e_k)(R_t e_k)' + its transpose) + gamma (R_t e_k)(R_t e_k)', with
+    gamma = 1/p, beta = c q gamma and alpha = 1/(a + d_f) + c q beta, and
+    gamma (R_m e_j)(R_m e_j)' per fiber variable.  The entry pairs of those
     columns are listed here, and each step's block is one bincount of them
     and of the rate-row elimination's pairs.  Relies on assemble's layout:
     G's rows open with capacity row k, f_k - c_k t_k, and close with
     nonnegativity row i, -x_i, and the access flows come first, each
     entering one rate row and one conservation row, its t_k one resource
-    row.  Refinement against the unregularized system recovers the step.
-    See docs/solver_notes.md, "Augmented system" to "Refinement".
+    row.  Refinement against the full system removes the elimination's
+    rounding.  See docs/solver_notes.md, "Augmented system" to "Refinement".
     """
 
     def __init__(self, problem: RateProblem):
@@ -286,7 +287,7 @@ class _NewtonSystem:
         """Newton step (dx, w) at slacks s = h - Gx, rates r = Ux and
         inequality multipliers lam, with row weights lam / s, or None when
         the dense factor is not positive definite.  The step is refined
-        against the whole unregularized system, dsigma rows included:
+        against the whole system, dsigma rows included:
         _REFINE_PASSES passes with `full`, one without."""
         p = self.problem
         nf, n, c, n_u, n_b = p.n_flow, p.n_var, p.cap, self.n_u, self.n_b
@@ -296,14 +297,13 @@ class _NewtonSystem:
         cd, a_f = c * d_f, a + d_f
         inv = 1.0 / a_f
         cq = c * a * inv
-        gam = 1.0 / (np.concatenate([d_t + cd * cq, d_m]) + _REG)
+        gam = 1.0 / np.concatenate([d_t + cd * cq, d_m])
         beta = cq * gam[:nf]
         weights = np.concatenate([inv + cq * beta, beta, gam])
         row_d = np.concatenate([r ** 2, 1.0 / wt[self.sl_c], np.zeros(self.n_eq)])
 
         du_row, du_w, du_c = self._du
-        du = 1.0 / (row_d[:n_u] + _REG + np.bincount(du_row, weights[du_w] * du_c,
-                                                     minlength=n_u))
+        du = 1.0 / (row_d[:n_u] + np.bincount(du_row, weights[du_w] * du_c, minlength=n_u))
         xu, xb, xw, xc = self._x
         x = weights[xw] * xc
         pp, pq, pu = self._pair
@@ -311,7 +311,7 @@ class _NewtonSystem:
         block = np.bincount(self._flat, np.concatenate([weights[bw] * bc,
                                                         -(x[pp] * x[pq] * du[pu])]),
                             minlength=n_b * n_b)
-        block[::n_b + 1] += row_d[n_u:] + _REG
+        block[::n_b + 1] += row_d[n_u:]
         factor, info = dpotrf(block.reshape((n_b, n_b), order="F"), lower=1, clean=0,
                               overwrite_a=1)
         if info > 0:                     # not positive definite: no step
@@ -319,10 +319,9 @@ class _NewtonSystem:
         R, R_t, vec = self.R, self.R_t, self._vec
 
         def eliminated(g_s, g_t, g_m, dx=0.0, dz=0.0):
-            """Solve the full system, with +-_REG on every diagonal but
-            dsigma's, for g = (g_sigma, g_t, g_m, dz - R dx): reduce to the
-            rows, eliminate the rate rows, solve on the factor, and
-            back-substitute.  Returns the solution (dsigma, dt, dm, z) and R'z."""
+            """Solve the full system for g = (g_sigma, g_t, g_m, dz - R dx):
+            reduce to the rows, eliminate the rate rows, solve on the factor
+            and back-substitute.  Returns (dsigma, dt, dm, z) and R'z."""
             h = inv * g_s
             u_y = np.concatenate([g_t + cd * h, g_m]) * gam
             np.subtract(cq * u_y[:nf], h, out=vec[:nf])
@@ -342,7 +341,7 @@ class _NewtonSystem:
         v, y = eliminated(g_s, g_t, g_m)
         c_tt = c * cd + d_t
         for _ in range(_REFINE_PASSES if full else 1):
-            # the residual of the unregularized full system at v = (dsigma, dt, dm, z),
+            # the residual of the full system at v = (dsigma, dt, dm, z),
             # whose R'z is y, and a correction from it
             sigma, t, m = v[:nf], v[nf:2 * nf], v[2 * nf:n]
             dv, dy = eliminated(g_s - (a_f * sigma - cd * t - y[:nf]),
@@ -473,15 +472,14 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     cfg = cfg or SolverConfig()
     n_terms = 2 * problem.n_included
     m_ineq = problem.G.shape[0]
-    gap_target_abs = cfg.duality_gap_tol * n_terms
 
     newton = _NewtonSystem(problem)
     v = (np.concatenate([problem.h, np.zeros(n_terms)])     # (s, r)
          + newton.M @ strictly_feasible_point(problem))
     if np.any(v <= 0):
         raise InfeasibleProblemError("starting point is not strictly feasible")
-    # 5% overshoot keeps the final reported gap strictly below the tolerance
-    tau_needed = 1.05 * m_ineq / gap_target_abs
+    # the last tau, 5% past the gap bound, keeps the final gap below the tolerance
+    tau_needed = 1.05 * m_ineq / (cfg.duality_gap_tol * n_terms)
     tau = _TAU0
     # carried across centerings: resetting lam to 1/(tau s) when tau grows
     # costs more steps (docs: Carried multipliers)
@@ -489,7 +487,7 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     trace = []
     inner_total = 0
     while True:
-        last = m_ineq / tau <= gap_target_abs
+        last = tau >= tau_needed
         v, lam, w, inner, failure = _center(v, lam, tau, last, cfg.max_inner_iters, newton)
         inner_total += inner
         trace.append(float(np.log(v[m_ineq:]).sum()))

@@ -230,7 +230,7 @@ def test_iteration_cap_is_exit_three(tmp_path, capsys):
 def test_tight_gap_failure_is_exit_three(tmp_path, capsys):
     # a gap of 1e-16 per log-rate term is below the rounding error of the
     # stationarity residual itself, so no double-precision solve certifies
-    # it: this one stops with a failed line search at tau = 1e14, a typed
+    # it: this one stops on a singular Newton matrix at tau = 1e12, a typed
     # failure, and the CLI exits 3, never with a traceback
     cfg = write_config(tmp_path, duality_gap_tol=1e-16, grid_rows=2, grid_cols=3,
                        n_ues=30, seed=4, anchor_k=1, scenarios=["iab_mesh_lb"])

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 
-from iabplan import (AnchorSet, BudgetConfig, ConfigError, ConvergenceError,
+from iabplan import (AnchorSet, BudgetConfig, ConfigError, ConvergenceError, IabPlanError,
                      SolverConfig, Variant, assemble, build_link_table, check_kkt,
                      generate_grid, make_scenario, select_anchors, solve,
                      strictly_feasible_point, synthetic_gains, validate)
@@ -281,6 +282,16 @@ class TestCertifiedOnGrids:
         trace = np.asarray(cert.objective_trace)
         assert (np.diff(trace) >= -1e-9 * np.abs(trace[:-1])).all()
 
+    def test_schedule_tau_on_the_gap_bound_certifies(self):
+        # the tolerance makes tau = 1e8, a tau of the schedule, meet the gap
+        # bound m/tau exactly; the last centering still runs at tau_needed,
+        # 5% past it, so the measured gap cannot round above the tolerance
+        # (ending at 1e8, comp_gap_rel read 1.1300000080e-7 against 1.13e-7)
+        prob = grid_problem(2, 3, 30, 5, 2, "iab_mesh_lb")
+        tol = prob.G.shape[0] / 1e8 / (2 * prob.n_included)
+        _, cert = self.solve_certified(prob, SolverConfig(duality_gap_tol=tol))
+        assert cert.gap_rel < tol
+
     @pytest.mark.parametrize("scenario", [v.value for v in Variant])
     def test_unreachable_gap_is_typed_failure(self, scenario):
         # 1e-12 lies below what a Newton decrement of 1e-10 can certify: each
@@ -294,6 +305,49 @@ class TestCertifiedOnGrids:
         except ConvergenceError as err:
             cert = err.certificate
             assert cert.gap_rel == cert.n_inequalities / cert.tau_final / (2 * prob.n_included)
+
+
+@st.composite
+def grid_shapes(draw):
+    """(rows, cols, k): a 2x3 to 3x4 grid and an anchor count on it."""
+    rows, cols = draw(st.integers(2, 3)), draw(st.integers(3, 4))
+    return rows, cols, draw(st.integers(1, rows * cols))
+
+
+class TestRandomGrids:
+    @settings(max_examples=20, deadline=None)
+    @given(shape=grid_shapes(), n_ues=st.integers(3, 60), seed=st.integers(0, 2**32 - 1),
+           policy=st.sampled_from(["greedy-coverage", "seeded-random"]),
+           min_snr_db=st.floats(0.0, 15.0), corner_loss_db=st.floats(0.0, 40.0),
+           fiber_capacity_bps=st.floats(1e9, 200e9))
+    # iab_mesh_lb's tau = 1e8 met the gap bound exactly, and the solve ended
+    # there uncertified (test_schedule_tau_on_the_gap_bound_certifies)
+    @example(shape=(3, 3, 3), n_ues=3, seed=228, policy="seeded-random", min_snr_db=0.0,
+             corner_loss_db=0.0, fiber_capacity_bps=1e9)
+    def test_every_scenario_certifies_or_fails_typed(self, shape, n_ues, seed, policy,
+                                                     min_snr_db, corner_loss_db,
+                                                     fiber_capacity_bps):
+        # A has full row rank, which keeps the factored block positive
+        # definite; every solve certifies or raises a typed error
+        rows, cols, k = shape
+        cfg = BudgetConfig(min_snr_db=min_snr_db, corner_loss_db=corner_loss_db,
+                           fiber_capacity_bps=fiber_capacity_bps)
+        topo = generate_grid(rows, cols, 200.0, n_ues, seed)
+        links = build_link_table(synthetic_gains(topo, cfg), cfg)
+        anchors = select_anchors(topo, k, policy, links=links, seed=seed)
+        for scenario in Variant:
+            try:
+                prob = assemble(links, make_scenario(scenario, links, anchors, seed=seed),
+                                anchors)
+            except IabPlanError:
+                continue
+            assert np.linalg.matrix_rank(prob.A.toarray()) == prob.A.shape[0]
+            try:
+                sol, cert = solve(prob)
+            except IabPlanError:
+                continue
+            assert cert.kkt.ok
+            assert validate(prob, sol).ok
 
 
 def multipliers(s, tau, off_path):
@@ -315,18 +369,10 @@ class TestNewtonStep:
     @pytest.mark.parametrize("tau", [1.0, 1e3, 1e6])
     def test_matches_dense_saddle_point_solve(self, seed, tau, off_path):
         prob = random_tiny_instance(seed)
-        G, h, A, U = prob.G, prob.h, prob.A, prob.U_mat
-        x = strictly_feasible_point(prob)
-        s, r = h - G @ x, U @ x
-        grad = -(U.T @ (1.0 / r)) + G.T @ (1.0 / (tau * s))
+        s, r, grad = newton_inputs(prob, tau)
         lam = multipliers(s, tau, off_path)
         dx, w = _NewtonSystem(prob).solve(s, r, lam, grad)
-
-        Ud, Gd, Ad = U.toarray(), G.toarray(), A.toarray()
-        H = Ud.T @ (Ud / r[:, None] ** 2) + Gd.T @ (Gd * (lam / s)[:, None])
-        p = Ad.shape[0]
-        kkt = np.block([[H, Ad.T], [Ad, np.zeros((p, p))]])
-        ref = np.linalg.solve(kkt, np.r_[-grad, np.zeros(p)])
+        ref = dense_step(prob, s, r, lam, grad)
         n = prob.n_var
         assert np.linalg.norm(dx - ref[:n]) <= 1e-8 * np.linalg.norm(ref[:n])
         assert np.linalg.norm(w - ref[n:]) <= 1e-8 * np.linalg.norm(ref[n:])
@@ -334,9 +380,9 @@ class TestNewtonStep:
     @pytest.mark.parametrize("seed, off_path", SEED_PATHS)
     @pytest.mark.parametrize("tau", [1.0, 1e3])
     def test_one_pass_reduced_step(self, seed, tau, off_path):
-        # the step of every centering but the last: one refinement pass in
-        # the reduced system only; the worst relative errors over these
-        # cases measure 7.4e-13 in dx and 2.2e-11 in w
+        # the step of every centering but the last: one refinement pass,
+        # against the full system; the worst relative errors over these
+        # cases measure 7.3e-13 in dx and 1.1e-13 in w
         prob = random_tiny_instance(seed)
         s, r, grad = newton_inputs(prob, tau)
         lam = multipliers(s, tau, off_path)
@@ -365,7 +411,7 @@ def newton_inputs(prob, tau):
 
 
 def slack_system(prob, s, r, lam):
-    """The unregularized augmented system in slack coordinates, built from
+    """The augmented system in slack coordinates, built from
     G, U and A with row weights lam / s: unknowns (dy, z_U, z_c, w) with
     dx = T dy, f = c t - sigma."""
     nf, n, rs = prob.n_flow, prob.n_var, prob.row_slices
@@ -406,8 +452,9 @@ class TestRegularizedNewtonSystem:
     @pytest.mark.parametrize("tau", [1.0, 1e3, 1e6, 1e9])
     def test_step_solves_unregularized_system(self, seed, tau, off_path):
         # componentwise (Oettli-Prager) backward error of the returned step
-        # in the unregularized system: rounding level, where the regularized
-        # factor's solution alone is off by 1e-12 to 1e-8
+        # in the slack system: rounding level (at most 1.6 eps over these
+        # cases), where the factor's solution before refinement is off by
+        # up to 1.8e-7
         prob = random_tiny_instance(seed)
         s, r, grad = newton_inputs(prob, tau)
         lam = multipliers(s, tau, off_path)
@@ -431,11 +478,9 @@ class TestRegularizedNewtonSystem:
     def test_factored_matrix_is_the_reduced_system(self, make, monkeypatch):
         # the factored block is minus the Schur complement, onto the
         # resource, fiber and conservation rows, of the slack system with
-        # +delta on (dt, dm) and -delta on every row diagonal, the capacity
-        # slacks, (dt, dm) and the rate rows eliminated, at any positive
-        # weights.  At the solver's delta and at one large enough to show,
-        # which pins its signs; the entries measure within 1.2e-13 relative,
-        # and within 7.2e-16 of the largest entry
+        # the capacity slacks, (dt, dm) and the rate rows eliminated, at any
+        # positive weights; the entries measure within 4.6e-14 relative,
+        # and within 5.8e-16 of the largest entry
         prob = make()
         rng = np.random.default_rng(3)
         m, nf, n = prob.G.shape[0], prob.n_flow, prob.n_var
@@ -447,16 +492,11 @@ class TestRegularizedNewtonSystem:
         blocks, original = [], solver.dpotrf
         monkeypatch.setattr(solver, "dpotrf", lambda a, **kw: blocks.append(np.tril(a)) or
                             original(a, **kw))
-        for delta in (solver._REG, 1e-3):
-            monkeypatch.setattr(solver, "_REG", delta)
-            _NewtonSystem(prob).solve(s, r, lam, rng.standard_normal(n), full=False)
-            K_delta = K + np.diag(np.r_[np.zeros(nf), np.full(n - nf, delta),
-                                        np.full(K.shape[0] - n, -delta)])
-            k = n + 2 * prob.n_included          # sigma, (t, m) and the rate rows
-            ref = -(K_delta[k:, k:] - K_delta[k:, :k] @ np.linalg.solve(K_delta[:k, :k],
-                                                                        K_delta[:k, k:]))
-            np.testing.assert_allclose(blocks.pop(), np.tril(ref), rtol=1e-12,
-                                       atol=1e-13 * np.abs(ref).max())
+        _NewtonSystem(prob).solve(s, r, lam, rng.standard_normal(n), full=False)
+        k = n + 2 * prob.n_included              # sigma, (t, m) and the rate rows
+        ref = -(K[k:, k:] - K[k:, :k] @ np.linalg.solve(K[:k, :k], K[:k, k:]))
+        np.testing.assert_allclose(blocks.pop(), np.tril(ref), rtol=1e-12,
+                                   atol=1e-13 * np.abs(ref).max())
 
     def test_released_without_garbage_collection(self):
         prob = random_tiny_instance(0)
