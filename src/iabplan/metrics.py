@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +122,15 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
     Iterative shortest-path peeling on the positive-flow subgraph: while any
     non-anchor BS still has unmet delivered demand, peel the globally
     shortest (then lexicographically least) anchor-to-demand path at the
-    bottleneck rate.  That path is the `bfs_tree` path to the first node in
-    discovery order with demand left: the lexicographically least shortest
-    path of node ids from an anchor, the order sorting nodes by (depth,
-    path).  The tree changes only when a peel empties an edge, and then
-    only below it: every other node keeps its path, which is still least.
-    So only the nodes below an emptied edge are searched again, from the
-    rest of the tree.  Each BS's hop count is the rate-weighted mean hop
-    count of the paths that end there; anchors are exactly 0.
+    bottleneck rate.  Each round is one queue search from the anchors over
+    the edges with flow left, seeds in id order and each node's edges in id
+    order of their head, as `bfs_tree` searches: the path to each node is
+    its lexicographically least shortest one, and nodes leave the queue
+    sorted by (depth, path).  Each node with demand left is peeled as it
+    leaves the queue, and the round ends at the first peel that empties an
+    edge, the only change that can alter the search.  Each BS's hop count
+    is the rate-weighted mean hop count of the paths that end there;
+    anchors are exactly 0.
 
     Interior-point solutions leave small circulating flows on links the
     optimum does not use; a balanced leftover field is harmless and only
@@ -153,63 +153,42 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
     demand = np.where(anchors.y, 0.0, delivered).tolist()
     rest, weighted, peeled = flow.tolist(), [0.0] * B, [0.0] * B
 
-    tail = edges[:, 0].tolist()
+    tail, head = edges[:, 0].tolist(), edges[:, 1].tolist()
     live = [f > eps for f in rest]
-    into, out = [[] for _ in range(B)], [[] for _ in range(B)]
-    for e, (i, j) in enumerate(edges.tolist()):
-        into[j].append((i, e))
-        out[i].append((j, e))
-    # key[v] = (depth, node ids of v's tree path from its anchor), None while unreached
-    key = [(0, (v,)) if a else None for v, a in enumerate(anchors.y.tolist())]
-    pred = [-1] * B
+    out = [[] for _ in range(B)]
+    for e in np.lexsort((edges[:, 1], edges[:, 0])).tolist():   # by (tail, head, id)
+        out[tail[e]].append(e)
+    seeds = np.flatnonzero(anchors.y).tolist()
 
-    def regrow(nodes):
-        """Give `nodes` their least keys through the settled tree, searching
-        them in key order (as `bfs_tree` discovers nodes)."""
-        for v in nodes:
-            key[v], pred[v] = None, -1
-        heap = [(key[u][0] + 1, key[u][1] + (v,), e) for v in nodes for u, e in into[v]
-                if live[e] and key[u] is not None]
-        heapq.heapify(heap)
-        while heap:
-            depth, path, e = heapq.heappop(heap)
-            v = path[-1]
-            if key[v] is None:
-                key[v], pred[v] = (depth, path), e
-                for w, f in out[v]:
-                    if live[f] and key[w] is None:
-                        heapq.heappush(heap, (depth + 1, path + (w,), f))
-
-    stale = np.flatnonzero(~anchors.y).tolist()
     while max(demand) > eps:
-        regrow(stale)
-        order = sorted((v for v in range(B) if key[v] is not None), key=key.__getitem__)
-        targets = [v for v in order if demand[v] > eps]
-        if not targets:
-            raise DecompositionError(
-                "unmet downlink demand with no remaining flow path "
-                f"(residual demand {max(demand):.3e})")
-        for b in targets:
-            path, node = [], b
-            while pred[node] >= 0:
-                path.append(pred[node])
-                node = tail[path[-1]]
-            q = min(demand[b], min(rest[e] for e in path))
-            for e in path:
-                rest[e] -= q
-            demand[b] -= q
-            weighted[b] += q * len(path)
-            peeled[b] += q
-            if any(rest[e] <= eps for e in path):
-                break
-        for e in path:
-            live[e] = rest[e] > eps
-        # the nodes whose tree path lost an edge, parents before children
-        cut = [False] * B
-        for v in order:
-            e = pred[v]
-            cut[v] = e >= 0 and (not live[e] or cut[tail[e]])
-        stale = [v for v in order if cut[v]]
+        seen, pred = anchors.y.tolist(), [-1] * B
+        queue = list(seeds)
+        for v in queue:              # the list grows into the queue as it is read
+            if demand[v] > eps:
+                path, node = [], v
+                while pred[node] >= 0:
+                    path.append(pred[node])
+                    node = tail[path[-1]]
+                q = min(demand[v], min(rest[e] for e in path))
+                for e in path:
+                    rest[e] -= q
+                demand[v] -= q
+                weighted[v] += q * len(path)
+                peeled[v] += q
+                if any(rest[e] <= eps for e in path):
+                    for e in path:
+                        live[e] = rest[e] > eps
+                    break
+            for e in out[v]:
+                w = head[e]
+                if live[e] and not seen[w]:
+                    seen[w], pred[w] = True, e
+                    queue.append(w)
+        else:
+            if max(demand) > eps:
+                raise DecompositionError(
+                    "unmet downlink demand with no remaining flow path "
+                    f"(residual demand {max(demand):.3e})")
 
     flow, weighted, peeled = np.array(rest), np.array(weighted), np.array(peeled)
     hops = np.full(B, np.nan)

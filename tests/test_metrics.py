@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iabplan import (AnchorSet, MetricsError, RateReport, Solution, SolverConfig,
-                     Variant, assemble, build_link_table, compare_table,
+from iabplan import (AnchorSet, DecompositionError, MetricsError, RateReport, Solution,
+                     SolverConfig, Variant, assemble, build_link_table, compare_table,
                      fiber_sweep, generate_grid, hop_counts, make_report,
                      make_scenario, rate_cdf, select_anchors, solve,
                      sweep_summary, synthetic_gains)
@@ -73,8 +73,11 @@ class TestRateReport:
 
 
 class TestHopCounts:
-    def test_rate_weighted_example(self):
-        # one-hop route at 2 Gbps plus two-hop route at 1 Gbps -> 4/3 hops
+    @staticmethod
+    def three_sites(flows_bps, delivered_bps):
+        """Anchor 0 and relays 1 and 2 on a full mesh, solved, then given a
+        hand-set downlink: backhaul flows `flows_bps` ((i, j) -> bps, the
+        rest zero) and `delivered_bps` to the one UE, at site 2."""
         links = links_from_caps(
             [[0.0, 0.0, 3.5e9]],
             [[0.0], [0.0], [3.5e9]],
@@ -86,18 +89,32 @@ class TestHopCounts:
 
         x = np.array(sol.x)
         cls = prob.flow_class_slices()
-        na, nd = prob.ul_access.shape[0], prob.dl_access.shape[0]
         dl_bh = {tuple(e): cls["dl_backhaul"].start + k
                  for k, e in enumerate(map(tuple, prob.dl_backhaul))}
         x[cls["dl_backhaul"]] = 0.0
-        x[dl_bh[(0, 2)]] = 2e9 / prob.scale_bps       # direct hop
-        x[dl_bh[(0, 1)]] = 1e9 / prob.scale_bps       # two-hop route
-        x[dl_bh[(1, 2)]] = 1e9 / prob.scale_bps
-        x[na + 0] = 3e9 / prob.scale_bps              # delivered at site 2
-        fake = replace(sol, x=x)
+        for edge, bps in flows_bps.items():
+            x[dl_bh[edge]] = bps / prob.scale_bps
+        x[cls["dl_access"].start] = delivered_bps / prob.scale_bps
+        return prob, replace(sol, x=x), anchors
+
+    def test_rate_weighted_example(self):
+        # one-hop route at 2 Gbps plus two-hop route at 1 Gbps -> 4/3 hops
+        prob, fake, anchors = self.three_sites({(0, 2): 2e9, (0, 1): 1e9, (1, 2): 1e9}, 3e9)
         hr = hop_counts(prob, fake, anchors, residual_tol=1.0)
         assert hr.hops[2] == pytest.approx(4 / 3, abs=1e-9)
         assert hr.hops[0] == 0.0
+
+    def test_demand_without_a_flow_path_raises(self):
+        prob, fake, anchors = self.three_sites({}, 3e9)
+        with pytest.raises(DecompositionError, match="no remaining flow path"):
+            hop_counts(prob, fake, anchors)
+
+    def test_flow_stranded_at_a_relay_raises(self):
+        # the direct hop delivers all of site 2's demand; the 1 Gbps into
+        # relay 1 leaves it nowhere
+        prob, fake, anchors = self.three_sites({(0, 2): 3e9, (0, 1): 1e9}, 3e9)
+        with pytest.raises(DecompositionError, match="imbalanced at a relay"):
+            hop_counts(prob, fake, anchors)
 
     def test_anchor_mass_and_conservation_on_real_solve(self):
         topo = generate_grid(2, 2, 200.0, 24, seed=6)
@@ -165,9 +182,10 @@ class TestHopCounts:
         (3, 6, 60, 1, 7), (3, 6, 60, 2, 7), (2, 4, 40, 5, 1), (2, 4, 40, 5, 3)])
     @pytest.mark.parametrize("variant", sorted(GOLDEN))
     def test_matches_trees_rebuilt_from_scratch(self, rows, cols, n_ues, seed, k, variant):
-        # hop_counts searches again only below an emptied edge; the paths
-        # it peels, and so every number it reports, are those of a peeling
-        # that rebuilds the whole `bfs_tree` after every emptied edge
+        # hop_counts searches the live edges once per round and peels as it
+        # goes; the paths it peels, and so every number it reports, are
+        # those of a peeling that rebuilds the whole `bfs_tree` after every
+        # emptied edge
         topo = generate_grid(rows, cols, 200.0, n_ues, seed)
         links = build_link_table(synthetic_gains(topo))
         anchors = select_anchors(topo, k, "greedy-coverage", links=links, seed=seed)

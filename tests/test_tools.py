@@ -67,14 +67,16 @@ def test_ladder_summary_line():
     line, gms = ladder.summarize("one", instances, None)
     assert set(line) == {"set", "solves", "certified", "newton_steps", "worst_stationarity",
                          "largest_inner_iters", "lam_min", "comp_gap_over_gap_rel_max",
-                         "trace_dip_max", "gm_digest", "seconds", "dense_side_max"}
+                         "trace_dip_max", "gm_digest", "hop_digest", "seconds",
+                         "dense_side_max"}
     assert line["set"] == "one"
     assert line["solves"] == line["certified"] == len(gms) == 5
     assert line["newton_steps"] > 0
     assert 0 < line["dense_side_max"] <= 3 * 6 + 1     # 3 rows per BS and the fiber row
     assert 0 < line["worst_stationarity"] <= 1e-6 and line["lam_min"] > 0
-    assert len(line["gm_digest"]) == 16
+    assert len(line["gm_digest"]) == len(line["hop_digest"]) == 16
     # the same GMs as reference: the bit-identity check of a refactor
     again, _ = ladder.summarize("one", instances, {"one": gms})
     assert again["gm_rel_diff_max"] == 0.0 and again["gm_compared"] == 5
     assert again["gm_digest"] == line["gm_digest"]
+    assert again["hop_digest"] == line["hop_digest"]

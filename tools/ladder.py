@@ -16,9 +16,11 @@ Newton steps of any one solve, the smallest returned multiplier, the
 largest ratio of the measured complementarity gap (`check_kkt`'s
 comp_gap_rel) to the central-path one (`gap_rel`), the largest relative
 dip of an objective trace, a digest of the GMs rounded to 9 significant
-digits, the set's wall seconds (building and solving every instance) and
-the largest side of any dense block the solver factors (its resource,
-fiber and conservation rows).  `--gms` writes every
+digits, a digest of the `hop_counts` reports (`hops` and `peeled_bps`,
+rounded likewise) of the certified IAB solves, the set's wall seconds
+(building and solving every instance, and counting its hops) and the
+largest side of any dense block the solver factors (its resource, fiber
+and conservation rows).  `--gms` writes every
 GM to a JSON file, and `--against` adds the largest relative GM difference
 from such a file.  The city set takes 4-5 s on a 2-CPU VM with
 OPENBLAS_NUM_THREADS=1 (8-9 s with the default threads); the ladder is
@@ -53,7 +55,8 @@ SETS = {
 
 
 def solves(instances):
-    """Yield (label, solution or None, certificate) per scenario solve."""
+    """Yield (label, solution or None, certificate, hop report or None) per
+    scenario solve; the certified IAB solves carry their `hop_counts`."""
     for rows, cols, n_ues, seed, counts in instances:
         topo = ip.generate_grid(rows, cols, INTER_SITE_M, n_ues, seed)
         links = ip.build_link_table(ip.synthetic_gains(topo))
@@ -67,12 +70,15 @@ def solves(instances):
                     sol, cert = ip.solve(prob)
                 except ip.ConvergenceError as err:
                     sol, cert = None, err.certificate
-                yield label, sol, cert
+                hops = (ip.hop_counts(prob, sol, anchors)
+                        if sol is not None and v.value.startswith("iab") else None)
+                yield label, sol, cert, hops
 
 
 def summarize(name, instances, reference):
     # solve returns only certified answers; a failure leaves sol None
-    gms, steps, worst_stat, longest, lam_min, gap_ratio, dip = {}, 0, 0.0, 0, np.inf, 0.0, 0.0
+    gms, hop_lines = {}, []
+    steps, worst_stat, longest, lam_min, gap_ratio, dip = 0, 0.0, 0, np.inf, 0.0, 0.0
     side, original = 0, solver.dpotrf
 
     def dpotrf(a, **kwargs):
@@ -87,7 +93,7 @@ def summarize(name, instances, reference):
     finally:
         solver.dpotrf = original
     seconds = time.perf_counter() - start
-    for label, sol, cert in results:
+    for label, sol, cert, hops in results:
         steps += cert.inner_iters + cert.outer_iters
         longest = max(longest, cert.inner_iters)
         trace = np.asarray(cert.objective_trace)
@@ -99,13 +105,18 @@ def summarize(name, instances, reference):
         lam_min = min(lam_min, float(sol.lam.min()))
         gap_ratio = max(gap_ratio, cert.kkt.comp_gap_rel / cert.gap_rel)
         gms[label] = sol.gm_bps
+        if hops is not None:
+            hop_lines.append(" ".join([label] + [f"{h:.8e}" for h in
+                                                 np.r_[hops.hops, hops.peeled_bps]]))
     digest = hashlib.sha256(
         "\n".join(f"{k} {v:.8e}" for k, v in sorted(gms.items())).encode()).hexdigest()
+    hop_digest = hashlib.sha256("\n".join(sorted(hop_lines)).encode()).hexdigest()
     line = {"set": name, "solves": sum(5 * len(i[4]) for i in instances),
             "certified": len(gms), "newton_steps": steps,
             "worst_stationarity": worst_stat, "largest_inner_iters": longest,
             "lam_min": lam_min, "comp_gap_over_gap_rel_max": gap_ratio,
             "trace_dip_max": dip, "gm_digest": digest[:16],
+            "hop_digest": hop_digest[:16],
             "seconds": round(seconds, 2), "dense_side_max": side}
     if reference is not None:
         ref = reference.get(name, {})
