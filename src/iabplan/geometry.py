@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import ConfigError
 
 DEFAULT_STREET_WIDTH_M = 20.0
@@ -72,11 +73,7 @@ class Topology:
         }
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        return write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Topology":

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import ConfigError, IngestionError
 from .geometry import Topology
 
@@ -164,8 +165,9 @@ def load_gains_csv(path, n_bs: int, n_ue: int) -> Gains:
     """Read `from,to,gain_db` rows using global node ids.
 
     Global ids: 0..n_bs-1 are BS sites, n_bs..n_bs+n_ue-1 are UEs.  Pairs not
-    present in the file are absent (-inf).  Duplicate pairs, unknown ids,
-    UE-to-UE rows and malformed rows raise an IngestionError naming the line.
+    present in the file, or given a gain of -inf, are absent.  Duplicate
+    pairs, unknown ids, UE-to-UE rows, NaN or +inf gains and malformed rows
+    raise an IngestionError naming the line.
     """
     n = n_bs + n_ue
     full = np.full((n, n), -np.inf)
@@ -184,6 +186,9 @@ def load_gains_csv(path, n_bs: int, n_ue: int) -> Gains:
                 src, dst, gain = int(row[0]), int(row[1]), float(row[2])
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: {exc}") from exc
+            if math.isnan(gain) or gain == math.inf:
+                raise IngestionError(f"{path}:{lineno}: gain must be finite or -inf, "
+                                     f"got {row[2].strip()!r}")
             for node in (src, dst):
                 if not 0 <= node < n:
                     raise IngestionError(f"{path}:{lineno}: unknown node id {node}")
@@ -253,7 +258,7 @@ def capacity(eff_snr_linear, bandwidth_hz: float):
 
 @dataclass(frozen=True)
 class LinkTable:
-    """Gain, SNR, effective SNR, capacity and existence for every ordered pair.
+    """Gain, capacity and existence for every ordered pair.
 
     A link exists iff its SNR is at least `min_snr_db` (inclusive boundary).
     Capacity is zero for absent links.  There are no UE-UE links.
@@ -262,12 +267,6 @@ class LinkTable:
     gain_bb: np.ndarray
     gain_bu: np.ndarray
     gain_ub: np.ndarray
-    snr_bb: np.ndarray
-    snr_bu: np.ndarray
-    snr_ub: np.ndarray
-    eff_bb: np.ndarray
-    eff_bu: np.ndarray
-    eff_ub: np.ndarray
     cap_bb: np.ndarray
     cap_bu: np.ndarray
     cap_ub: np.ndarray
@@ -285,26 +284,23 @@ class LinkTable:
         return self.gain_bu.shape[1]
 
     def to_csv(self, path, header_meta: dict | None = None) -> None:
-        """Audit dump: `from,to,gain_db,snr_db,capacity_bps,exists` (global ids)."""
-        n_bs = self.n_bs
-        with open(path, "w", newline="") as fh:
-            for key in sorted(header_meta or {}):
-                fh.write(f"# {key}={header_meta[key]}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["from", "to", "gain_db", "snr_db", "capacity_bps", "exists"])
-
-            def rows(gain, snr, cap, exists, src_off, dst_off, skip_diag):
-                for i in range(gain.shape[0]):
-                    for j in range(gain.shape[1]):
-                        if skip_diag and i == j:
-                            continue
-                        writer.writerow([src_off + i, dst_off + j,
-                                         f"{gain[i, j]:.6g}", f"{snr[i, j]:.6g}",
-                                         f"{cap[i, j]:.8g}", int(exists[i, j])])
-
-            rows(self.gain_bb, self.snr_bb, self.cap_bb, self.exists_bb, 0, 0, True)
-            rows(self.gain_bu, self.snr_bu, self.cap_bu, self.exists_bu, 0, n_bs, False)
-            rows(self.gain_ub, self.snr_ub, self.cap_ub, self.exists_ub, n_bs, 0, False)
+        """Audit dump: `from,to,gain_db,snr_db,capacity_bps,exists` (global
+        ids), with the SNR derived from the gain as the file is written."""
+        blocks = []
+        for gain, cap, exists, direction, src_off, dst_off in (
+                (self.gain_bb, self.cap_bb, self.exists_bb, "bs-bs", 0, 0),
+                (self.gain_bu, self.cap_bu, self.exists_bu, "bs-ue", 0, self.n_bs),
+                (self.gain_ub, self.cap_ub, self.exists_ub, "ue-bs", self.n_bs, 0)):
+            # every ordered pair but a site to itself
+            i, j = np.nonzero(~np.eye(*gain.shape, dtype=bool) if direction == "bs-bs"
+                              else np.ones_like(exists))
+            g = gain[i, j]
+            blocks.append((i + src_off, j + dst_off, g, link_snr(g, direction, self.cfg),
+                           cap[i, j], exists[i, j]))
+        write_csv(path, header_meta,
+                  ["from", "to", "gain_db", "snr_db", "capacity_bps", "exists"],
+                  "%d,%d,%.6g,%.6g,%.8g,%d",
+                  [np.concatenate(col).tolist() for col in zip(*blocks)])
 
 
 def build_link_table(gains: Gains, cfg: BudgetConfig | None = None) -> LinkTable:
@@ -315,21 +311,18 @@ def build_link_table(gains: Gains, cfg: BudgetConfig | None = None) -> LinkTable
         snr_db = link_snr(gain, direction, cfg)
         exists = snr_db >= cfg.min_snr_db
         with np.errstate(over="ignore"):
-            snr_lin = np.where(np.isfinite(snr_db), 10.0 ** (snr_db / 10.0), 0.0)
+            snr_lin = 10.0 ** (snr_db / 10.0)   # 0 for a -inf gain
         eff = np.where(exists, effective_snr(snr_lin, cfg), 0.0)
-        cap = np.where(exists, capacity(eff, cfg.bandwidth_hz), 0.0)
-        return snr_db, exists, eff, cap
+        return exists, np.where(exists, capacity(eff, cfg.bandwidth_hz), 0.0)
 
-    snr_bb, ex_bb, eff_bb, cap_bb = one(gains.bb, "bs-bs")
+    ex_bb, cap_bb = one(gains.bb, "bs-bs")
     np.fill_diagonal(ex_bb, False)
     np.fill_diagonal(cap_bb, 0.0)
-    snr_bu, ex_bu, eff_bu, cap_bu = one(gains.bu, "bs-ue")
-    snr_ub, ex_ub, eff_ub, cap_ub = one(gains.ub, "ue-bs")
+    ex_bu, cap_bu = one(gains.bu, "bs-ue")
+    ex_ub, cap_ub = one(gains.ub, "ue-bs")
 
     return LinkTable(
         gain_bb=gains.bb, gain_bu=gains.bu, gain_ub=gains.ub,
-        snr_bb=snr_bb, snr_bu=snr_bu, snr_ub=snr_ub,
-        eff_bb=eff_bb, eff_bu=eff_bu, eff_ub=eff_ub,
         cap_bb=cap_bb, cap_bu=cap_bu, cap_ub=cap_ub,
         exists_bb=ex_bb, exists_bu=ex_bu, exists_ub=ex_ub,
         cfg=cfg,

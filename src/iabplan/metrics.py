@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .connectivity import Variant, make_scenario
 from .errors import DecompositionError, MetricsError
 from .geometry import AnchorSet, Topology, select_anchors
@@ -29,17 +29,12 @@ class RateReport:
     n_total: int
 
     def to_csv(self, path, header_meta: dict | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            meta = dict(header_meta or {})
-            meta.update({"scenario": self.scenario, "anchors": self.anchor_count,
-                         "gm_mbps": f"{self.gm_bps / 1e6:.9g}",
-                         "excluded_ues": self.n_excluded})
-            for key in sorted(meta):
-                fh.write(f"# {key}={meta[key]}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["ue_id", "rate_ul_mbps", "rate_dl_mbps"])
-            for ue, ru, rd in zip(self.ue_ids, self.r_ul_bps, self.r_dl_bps):
-                writer.writerow([int(ue), f"{ru / 1e6:.9g}", f"{rd / 1e6:.9g}"])
+        meta = {**(header_meta or {}), "scenario": self.scenario,
+                "anchors": self.anchor_count, "gm_mbps": f"{self.gm_bps / 1e6:.9g}",
+                "excluded_ues": self.n_excluded}
+        write_csv(path, meta, ["ue_id", "rate_ul_mbps", "rate_dl_mbps"], "%d,%.9g,%.9g",
+                  [self.ue_ids.tolist(), (self.r_ul_bps / 1e6).tolist(),
+                   (self.r_dl_bps / 1e6).tolist()])
 
 
 def make_report(solution: Solution, problem: RateProblem, scenario: str,
@@ -245,13 +240,9 @@ def fiber_sweep(topology: Topology, links: LinkTable, variants, k_values,
 
 
 def sweep_to_csv(rows: list[SweepRow], path, header_meta: dict | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        for key in sorted(header_meta or {}):
-            fh.write(f"# {key}={header_meta[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["k", "variant", "gm_mbps", "seed"])
-        for row in rows:
-            writer.writerow([row.k, row.variant, f"{row.gm_bps / 1e6:.9g}", row.seed])
+    write_csv(path, header_meta, ["k", "variant", "gm_mbps", "seed"], "%d,%s,%.9g,%d",
+              [[r.k for r in rows], [r.variant for r in rows],
+               [r.gm_bps / 1e6 for r in rows], [r.seed for r in rows]])
 
 
 def sweep_summary(rows: list[SweepRow]) -> str:

@@ -10,6 +10,13 @@ from iabplan import (BudgetConfig, ConfigError, IngestionError, build_link_table
 from iabplan.linkbudget import Gains
 
 CFG = BudgetConfig()
+DIRECTIONS = (("bb", "bs-bs"), ("bu", "bs-ue"), ("ub", "ue-bs"))
+
+
+def table_snrs(links):
+    """SNR (dB) of every pair of a link table, by block, from its gains."""
+    return {block: link_snr(getattr(links, f"gain_{block}"), direction, links.cfg)
+            for block, direction in DIRECTIONS}
 
 
 def make_corridor(n_ues=0):
@@ -78,11 +85,16 @@ class TestLinkSnr:
         gains = synthetic_gains(generate_grid(2, 3, 200.0, 20, seed=0))
         base = build_link_table(gains, CFG)
         louder = build_link_table(gains, CFG.replace(tx_power_dbm=40.0))
-        assert np.array_equal(louder.snr_bb, base.snr_bb)
-        assert np.array_equal(louder.snr_bu, base.snr_bu)
-        finite = np.isfinite(base.snr_ub)
+        snr, louder_snr = table_snrs(base), table_snrs(louder)
+        assert np.array_equal(louder_snr["bb"], snr["bb"])
+        assert np.array_equal(louder_snr["bu"], snr["bu"])
+        finite = np.isfinite(snr["ub"])
         assert finite.any()
-        assert np.allclose(louder.snr_ub[finite], base.snr_ub[finite] + 10.0)
+        assert np.allclose(louder_snr["ub"][finite], snr["ub"][finite] + 10.0)
+        # and the table's links follow: only uplink capacities grow
+        assert np.array_equal(louder.cap_bb, base.cap_bb)
+        assert np.array_equal(louder.cap_bu, base.cap_bu)
+        assert (louder.cap_ub >= base.cap_ub).all() and (louder.cap_ub > base.cap_ub).any()
 
     def test_bad_direction(self):
         with pytest.raises(ConfigError):
@@ -146,7 +158,7 @@ class TestBuildLinkTable:
         gains = Gains(bb=np.array([[-np.inf]]),
                       bu=np.array([[-117.0]]), ub=np.array([[-117.0]]))
         links = build_link_table(gains, CFG)
-        assert links.snr_bu[0, 0] == pytest.approx(0.0, abs=1e-9)
+        assert table_snrs(links)["bu"][0, 0] == pytest.approx(0.0, abs=1e-9)
         assert links.exists_bu[0, 0]
         assert links.cap_bu[0, 0] > 0
 
@@ -169,11 +181,20 @@ class TestBuildLinkTable:
         topo = generate_grid(3, 3, 150.0, 80, seed=3)
         links = build_link_table(synthetic_gains(topo, CFG), CFG)
         cap_lin = 10 ** (CFG.snr_cap_db / 10)
-        for eff in (links.eff_bb, links.eff_bu, links.eff_ub):
-            assert (eff <= cap_lin + 1e-9).all()
+        for snr_db in table_snrs(links).values():
+            assert (effective_snr(10 ** (snr_db / 10), CFG) <= cap_lin + 1e-9).all()
         ceiling = CFG.bandwidth_hz * math.log2(1 + cap_lin)
         for cap in (links.cap_bb, links.cap_bu, links.cap_ub):
             assert (cap <= ceiling + 1e-6).all()
+
+    def test_infinite_gain_gets_the_ceiling_capacity(self):
+        # -inf is an absent pair; +inf (built in code) is a link at the cap
+        gains = Gains(bb=np.array([[-np.inf]]),
+                      bu=np.array([[np.inf]]), ub=np.array([[-np.inf]]))
+        links = build_link_table(gains, CFG)
+        ceiling = capacity(effective_snr(np.inf, CFG), CFG.bandwidth_hz)
+        assert links.exists_bu[0, 0] and links.cap_bu[0, 0] == ceiling > 0
+        assert not links.exists_ub[0, 0] and links.cap_ub[0, 0] == 0.0
 
     def test_capacity_monotone_in_gain(self):
         gains = np.linspace(-140.0, -60.0, 60)
@@ -227,6 +248,17 @@ class TestGainCsv:
         path.write_text("src,dst,db\n0,1,-100\n")
         with pytest.raises(IngestionError, match="header"):
             load_gains_csv(path, n_bs=2, n_ue=0)
+
+    @pytest.mark.parametrize("gain", ["nan", "inf", "+inf", " Infinity", "NaN"])
+    def test_nan_and_plus_inf_rejected(self, tmp_path, gain):
+        path = self.write(tmp_path, f"0,1,-100\n0,2,{gain}\n")
+        with pytest.raises(IngestionError, match=":3: gain must be finite or -inf"):
+            load_gains_csv(path, n_bs=2, n_ue=2)
+
+    def test_minus_inf_is_an_absent_pair(self, tmp_path):
+        g = load_gains_csv(self.write(tmp_path, "0,2,-inf\n2,0,-100\n"), n_bs=2, n_ue=2)
+        assert g.bu[0, 0] == -np.inf and g.ub[0, 0] == -100.0
+        assert not build_link_table(g, CFG).exists_bu[0, 0]
 
     def test_blocks_route_to_right_matrices(self, tmp_path):
         path = self.write(tmp_path, "0,2,-95\n2,1,-96\n0,1,-97\n")

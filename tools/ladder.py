@@ -22,9 +22,11 @@ rounded likewise) of the certified IAB solves, the set's wall seconds
 largest side of any dense block the solver factors (its resource, fiber
 and conservation rows).  `--gms` writes every
 GM to a JSON file, and `--against` adds the largest relative GM difference
-from such a file.  The city set takes 4-5 s on a 2-CPU VM with
-OPENBLAS_NUM_THREADS=1 (8-9 s with the default threads); the ladder is
-tooling, not a test.
+from such a file.  Run as a script, the ladder sets OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS to 1 before NumPy loads, as
+bench/run.py does: the threaded factor sums in another order and, on a
+2-CPU VM, took the city set 8-9 s against 4-5 s single-threaded.  The
+ladder is tooling, not a test.
 """
 
 from __future__ import annotations
@@ -32,11 +34,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+if __name__ == "__main__":
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"     # single-threaded BLAS, set before NumPy loads
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
