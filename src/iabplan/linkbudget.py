@@ -56,8 +56,9 @@ class BudgetConfig:
                      "corner_loss_db"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if self.bandwidth_hz <= 0:
-            raise ConfigError("bandwidth must be positive")
+        for name in ("bandwidth_hz", "carrier_hz", "fiber_capacity_bps"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.snr_cap_db <= self.min_snr_db:
             raise ConfigError("snr_cap_db must exceed min_snr_db")
         if self.effective_snr_mode not in ("parallel", "harmonic-mean"):

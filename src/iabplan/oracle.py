@@ -6,10 +6,11 @@ the unique backhaul route of each UE by exact conservation, discard lattice
 points that violate a backhaul capacity, fiber or resource row, and keep the
 best geometric mean found.
 
-Instances must have at most 6 time variables and a forest-shaped backhaul,
-so each UE has a single simple route per direction.  The routes follow the
-shared `connectivity.bfs_tree`; the solver routes along the same trees
-only to seed its start point, so the bracket stays independent of the
+Instances must have at most 6 time variables and a forest-shaped backhaul
+with one anchor per tree at most (two would give a UE a route to each), so
+each UE has a single simple route per direction.  The routes follow the
+shared `connectivity.bfs_tree`; `assemble` routes along the same trees
+only to seed the start point, so the bracket stays independent of the
 solver's answer.
 Reverse-direction backhaul variables (present because availability is
 symmetric on tree edges) can only carry circulating flow, which never
@@ -64,10 +65,12 @@ def _routes(problem: RateProblem):
     pairs = np.unique(np.sort(np.vstack([problem.ul_backhaul.reshape(-1, 2),
                                          problem.dl_backhaul.reshape(-1, 2)]),
                               axis=1), axis=0)
-    n_comp = csgraph.connected_components(
-        sp.csr_matrix((np.ones(len(pairs)), pairs.T), shape=(B, B)), directed=False)[0]
+    n_comp, tree = csgraph.connected_components(
+        sp.csr_matrix((np.ones(len(pairs)), pairs.T), shape=(B, B)), directed=False)
     if len(pairs) != B - n_comp:
         raise OracleError("oracle needs a forest-shaped backhaul")
+    if np.bincount(tree[problem.anchors_y], minlength=n_comp).max(initial=0) > 1:
+        raise OracleError("oracle needs at most one anchor per backhaul tree")
 
     def paths(edges, bs, ue, reverse):
         """Per included UE (in id order): its access variable, the indicator

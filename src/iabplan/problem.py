@@ -73,6 +73,7 @@ class RateProblem:
     U_mat: sp.csr_matrix     # (2 N', n) rate aggregation; rows: UL block, DL block
     ue_ids: np.ndarray       # (N',) included UE ids
     excluded: dict           # ue id -> "no_link" | "starved"
+    start: np.ndarray        # strictly feasible point, read by strictly_feasible_point
     row_slices: dict = field(default_factory=dict)  # G row family -> slice
 
     @cached_property
@@ -186,10 +187,12 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
              anchors: AnchorSet) -> RateProblem:
     """Build the RateProblem for one scenario.
 
-    Raises InfeasibleProblemError when no UE is servable.  UEs attached only
-    to sites with no route to a fiber drop are excluded as "starved", and
-    UEs with no eligible link at all as "no_link"; both are reported only in
-    `excluded`.
+    Also builds the strictly feasible start point (`start`).  Raises
+    InfeasibleProblemError when no UE is servable, or when a kept link or
+    the fiber pipe has zero capacity, which leaves no interior.  UEs
+    attached only to sites with no route to a fiber drop are excluded as
+    "starved", and UEs with no eligible link at all as "no_link"; both are
+    reported only in `excluded`.
     """
     B, U = links.n_bs, links.n_ue
     y = anchors.y
@@ -204,11 +207,13 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     bh_edges = np.argwhere(bh_ok)                   # (E, 2) rows (i, j), sorted
 
     def reach(seeds, reverse=False):
-        """Mask of the BSs that `seeds` reach along bh_edges (against them with `reverse`)."""
-        return np.bincount(bfs_tree(B, bh_edges, seeds, reverse)[1], minlength=B) > 0
+        """Mask of the BSs that `seeds` reach along bh_edges (against them
+        with `reverse`), and the `bfs_tree` (pred, order) that reaches them."""
+        pred, order = bfs_tree(B, bh_edges, seeds, reverse)
+        return np.bincount(order, minlength=B) > 0, (pred, order)
 
-    dl_reach = reach(y)                 # can receive DL from some anchor
-    ul_reach = reach(y, reverse=True)   # can forward UL to some anchor
+    dl_reach, dl_tree = reach(y)                 # can receive DL from some anchor
+    ul_reach, ul_tree = reach(y, reverse=True)   # can forward UL to some anchor
 
     ul_ok = ul_acc_ok & ul_reach[None, :]
     dl_ok = dl_acc_ok & dl_reach[None, :]
@@ -226,11 +231,11 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
 
     # backhaul usability: DL needs an anchor upstream and a UE-serving BS
     # downstream; UL is the mirror image.
-    dl_sinkable = reach(dl_ok.any(axis=0), reverse=True)
-    ul_sourceable = reach(ul_ok.any(axis=0))
+    dl_sinkable, dl_sink_tree = reach(dl_ok.any(axis=0), reverse=True)
+    ul_sourceable, ul_source_tree = reach(ul_ok.any(axis=0))
     i, j = bh_edges.T
-    ul_backhaul = bh_edges[ul_sourceable[i] & ul_reach[j]]
-    dl_backhaul = bh_edges[dl_reach[i] & dl_sinkable[j]]
+    ul_keep, dl_keep = ul_sourceable[i] & ul_reach[j], dl_reach[i] & dl_sinkable[j]
+    ul_backhaul, dl_backhaul = bh_edges[ul_keep], bh_edges[dl_keep]
     ul_access = np.argwhere(ul_ok)            # (ue, bs)
     dl_access = np.argwhere(dl_ok.T)          # (bs, ue)
     na, nd = ul_access.shape[0], dl_access.shape[0]
@@ -302,13 +307,60 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     U_mat = sp.csr_matrix((np.ones(na + nd), (ue_row + np.repeat([0, n_inc], [na, nd]),
                                               np.arange(na + nd))), shape=(2 * n_inc, n))
 
+    # --- interior point: a unit per variable on an anchor<->UE walk -------
+    # The walks follow the reach trees: a node on a walk reaches its ends
+    # and is reached from them, so its tree path is all kept edges, the
+    # same path as over the kept edges alone.
+    def route(tree, reverse, starts):
+        """One unit from each start (with repeats) along its tree walk:
+        per-edge unit counts over bh_edges, and per seed the walks that end
+        there (tree accumulation, children before parents)."""
+        pred, order = tree
+        up = bh_edges[:, 1 if reverse else 0]
+        count = np.bincount(starts, minlength=B)
+        on_edge = np.zeros(bh_edges.shape[0], dtype=int)
+        for v in order[::-1].tolist():
+            e = pred[v]
+            if e >= 0:
+                on_edge[e] = count[v]
+                count[up[e]] += count[v]
+        return on_edge, np.where(pred < 0, count, 0)
+
+    def walks(anchor_tree, sink_tree, reverse, acc_bs, keep, fiber_bs):
+        """One direction: a unit down `anchor_tree` to every access BS and
+        kept edge's near end, one from every far end and fiber BS on along
+        `sink_tree`.  Returns the units per access and kept backhaul flow,
+        and per BS the anchor walks that end there."""
+        near, far = (bh_edges[keep][:, ::-1] if reverse else bh_edges[keep]).T
+        down_e, down_end = route(anchor_tree, reverse, np.concatenate([acc_bs, near]))
+        sink_e, sink_end = route(sink_tree, not reverse, np.concatenate([far, fiber_bs]))
+        sinks, first = np.unique(acc_bs, return_index=True)
+        acc = np.ones(acc_bs.size)
+        acc[first] += sink_end[sinks]     # a sink walk ends in its BS's first access flow
+        return acc, (1.0 + down_e + sink_e)[keep], down_end
+
+    acc_u, bh_u, end_u = walks(ul_tree, ul_source_tree, True, ul_access[:, 1], ul_keep, m_u)
+    acc_d, bh_d, end_d = walks(dl_tree, dl_sink_tree, False, dl_access[:, 0], dl_keep, m_d)
+    flow = np.concatenate([acc_u, acc_d, bh_u, bh_d])
+    m_cnt = 1.0 + np.concatenate([end_d[m_d], end_u[m_u]])
+    # times take 0.9 of a uniform share of the busiest incident BS budget,
+    # flows half the tightest capacity bound
+    n_incident = np.append(np.bincount(node, minlength=B), 0)    # 0 at a UE end
+    t = 0.9 / np.maximum(n_incident[tail], n_incident[head])
+    sigma = min(0.5 * np.min(t * cap / flow),
+                0.45 * fiber_norm / np.bincount(m_bs, weights=m_cnt).max())
+    if sigma <= 0:
+        raise InfeasibleProblemError(
+            "cannot construct interior point: zero-capacity link in the active set")
+
     return RateProblem(
         n_bs=B, n_ue=U, anchors_y=y.copy(),
         ul_access=ul_access, dl_access=dl_access,
         ul_backhaul=ul_backhaul, dl_backhaul=dl_backhaul,
         m_bs=m_bs, m_ul=m_ul, cap=cap, scale_bps=scale, fiber_norm=fiber_norm,
         G=G, h=h, A=A, eq_ul=kept % 2 == 1, U_mat=U_mat,
-        ue_ids=ue_ids, excluded=excluded, row_slices=row_slices,
+        ue_ids=ue_ids, excluded=excluded, start=np.concatenate([sigma * flow, t, sigma * m_cnt]),
+        row_slices=row_slices,
     )
 
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .connectivity import bfs_tree
 from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
 from .problem import RateProblem, stack_rows, validate
 
@@ -130,67 +129,7 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
     walk for every flow and fiber variable (so each is strictly positive),
     then scaling all of them to half the tightest capacity bound.
     """
-    ul_acc, dl_acc = problem.ul_access, problem.dl_access
-    ul_bh, dl_bh = problem.ul_backhaul, problem.dl_backhaul
-    m_bs, m_ul, B = problem.m_bs, problem.m_ul, problem.n_bs
-    anchors = np.flatnonzero(problem.anchors_y)
-
-    # each link's BS ends, per flow class in variable order
-    ends = [ul_acc[:, 1:], dl_acc[:, :1], ul_bh, dl_bh]
-    n_incident = np.bincount(np.concatenate([e.ravel() for e in ends]), minlength=B)
-    t = 0.9 / np.concatenate([n_incident[e].max(axis=1) for e in ends])
-
-    def fail(msg):
-        raise InfeasibleProblemError(f"cannot construct interior point: {msg}")
-
-    def route(seeds, edges, reverse, starts, no_walk):
-        """One unit from each start (with repeats) along its `bfs_tree`
-        walk: per-edge unit counts, and per-seed counts of walks ending there."""
-        pred, order = bfs_tree(B, edges, seeds, reverse)
-        up = edges[:, 1 if reverse else 0]
-        count = np.bincount(starts, minlength=B)
-        stuck = np.flatnonzero((count > 0) & (np.bincount(order, minlength=B) == 0))
-        if stuck.size:
-            fail(f"BS {stuck[0]} {no_walk}")
-        on_edge = np.zeros(edges.shape[0], dtype=int)
-        for v in order[::-1].tolist():       # children before parents
-            e = pred[v]
-            if e >= 0:
-                on_edge[e] = count[v]
-                count[up[e]] += count[v]
-        return on_edge, np.where(pred < 0, count, 0)
-
-    def direction(acc_bs, bh, fiber_bs, name):
-        """Route one direction whose backhaul `bh` points away from the
-        anchors: a unit down from an anchor to every access BS and backhaul
-        tail, and one on from every backhaul head and fiber BS to an access
-        BS.  Returns the units per access flow and per backhaul flow, and
-        per anchor the walks that end there."""
-        down_e, down_end = route(anchors, bh, False, np.concatenate([acc_bs, bh[:, 0]]),
-                                 f"is cut off from the anchors on the {name}")
-        sinks, first = np.unique(acc_bs, return_index=True)
-        sink_e, sink_end = route(sinks, bh, True, np.concatenate([bh[:, 1], fiber_bs]),
-                                 f"is cut off from the served UEs on the {name}")
-        acc = np.ones(acc_bs.size)
-        acc[first] += sink_end[sinks]     # a sink walk ends in its BS's first access flow
-        return acc, 1.0 + down_e + sink_e, down_end
-
-    # uplink is downlink on the reversed backhaul
-    acc_u, bh_u, end_u = direction(ul_acc[:, 1], ul_bh[:, ::-1], m_bs[m_ul], "uplink")
-    acc_d, bh_d, end_d = direction(dl_acc[:, 0], dl_bh, m_bs[~m_ul], "downlink")
-    flow = np.concatenate([acc_u, acc_d, bh_u, bh_d])
-    m_cnt = 1.0 + np.where(m_ul, end_u[m_bs], end_d[m_bs])
-    if m_cnt.sum() - m_bs.size != end_u.sum() + end_d.sum():
-        fail("an anchor walk ends at an anchor with no fiber variable")
-
-    sigma = 0.5 * np.min(t * problem.cap / flow)
-    busiest = np.bincount(m_bs, weights=m_cnt, minlength=B).max() if m_bs.size else 0.0
-    if busiest > 0:
-        sigma = min(sigma, 0.45 * problem.fiber_norm / busiest)
-    if sigma <= 0:
-        fail("zero-capacity link in the active set")
-
-    return np.concatenate([sigma * flow, t, sigma * m_cnt])
+    return problem.start.copy()
 
 
 class _NewtonSystem:
@@ -459,13 +398,15 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     each value is one centering of at most `max_inner_iters` Newton steps,
     stopped at the decrement `_PATH_TOL`, except the last at `_NEWTON_TOL`.
     The certificate carries `check_kkt` of the answer at `duality_gap_tol`
-    and `feasibility_tol`, which it always passes on return.  Raises
-    InfeasibleProblemError when no strictly feasible point exists, and
-    ConvergenceError when a centering hits its cap or its line search
-    fails, or when the final point fails that check.  The error carries
-    the last iterate and its certificate, with the gap bound at the tau
-    being centered and the KKT report saying what fails; when a centering
-    failed, that report pairs the iterate with lam = 1/(tau s).
+    and `feasibility_tol`, which it always passes on return.  `assemble`
+    raises InfeasibleProblemError when it can build no strictly feasible
+    point; `solve` raises it only when that point's slacks or rates are
+    not all positive.  Raises ConvergenceError when a centering hits its
+    cap or its line search fails, or when the final point fails that
+    check.  The error carries the last iterate and its certificate, with
+    the gap bound at the tau being centered and the KKT report saying what
+    fails; when a centering failed, that report pairs the iterate with
+    lam = 1/(tau s).
     The answer x is the nonnegativity block of the carried slacks, which
     starts as 0 + x and takes x's steps.  Deterministic for fixed inputs.
     """

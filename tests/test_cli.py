@@ -134,7 +134,8 @@ def test_bad_solver_setting_is_config_error(tmp_path, capsys, command, key, valu
     ("grid_rows", 2.5), ("grid_cols", None), ("n_ues", 30.5), ("anchor_k", "7"),
     ("anchor_k", True), ("seed", "1"), ("inter_site_m", "200"),
     ("street_width_m", float("inf")), ("dump_iterations", "yes"),
-    ("bandwidth_hz", True),
+    ("bandwidth_hz", True), ("carrier_hz", 0), ("carrier_hz", -28e9),
+    ("fiber_capacity_bps", 0), ("fiber_capacity_bps", -5e9),
 ])
 def test_bad_budget_value_is_config_error(tmp_path, capsys, command, key, value):
     cfg = write_config(tmp_path, **{key: value})

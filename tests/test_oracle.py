@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iabplan import AnchorSet, OracleError, Variant, assemble, brute_force_oracle, \
-    make_scenario, solve
+from iabplan import AnchorSet, BudgetConfig, OracleError, Variant, assemble, \
+    brute_force_oracle, make_scenario, solve
 from iabplan.testkit import (analytic_chain_instance, analytic_single_instance,
                              links_from_caps, random_tiny_instance)
 
@@ -66,6 +66,20 @@ def test_forest_check_rejects_triangle():
     cyclic = replace(prob, n_bs=3, ul_backhaul=np.array([[0, 1], [1, 2], [2, 0]]))
     with pytest.raises(OracleError, match="forest"):
         brute_force_oracle(cyclic)
+
+
+def test_rejects_two_anchors_in_one_tree():
+    # two fiber sites joined by one link, one UE on BS0: the link is a forest
+    # but gives the UE a second route, through BS1's fiber, so the optimum
+    # (1000 Mbps) is above any single-route bracket
+    cfg = BudgetConfig(fiber_capacity_bps=1e9)
+    links = links_from_caps([[8e9, 0.0]], [[8e9], [0.0]], [[0.0, 8e9], [8e9, 0.0]], cfg)
+    anchors = AnchorSet(np.array([True, True]))
+    prob = assemble(links, make_scenario(Variant.IAB_MESH_SS, links, anchors, seed=0), anchors)
+    assert prob.n_flow <= 6
+    assert solve(prob)[0].gm_bps == pytest.approx(1e9, rel=1e-6)
+    with pytest.raises(OracleError, match="one anchor per backhaul tree"):
+        brute_force_oracle(prob)
 
 
 @pytest.mark.parametrize("seed", range(6))

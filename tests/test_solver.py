@@ -350,6 +350,11 @@ class TestRandomGrids:
             except IabPlanError:
                 continue
             assert np.linalg.matrix_rank(prob.A.toarray()) == prob.A.shape[0]
+            # the start point is interior: every slack is positive and the
+            # conservation rows hold to rounding
+            x0 = strictly_feasible_point(prob)
+            assert np.all(prob.h - prob.G @ x0 > 0)
+            assert np.all(np.abs(prob.A @ x0) <= 1e-12 * (prob.abs_A @ np.abs(x0)))
             try:
                 sol, cert = solve(prob)
             except IabPlanError:

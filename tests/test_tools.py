@@ -67,8 +67,8 @@ def test_ladder_summary_line():
     line, gms = ladder.summarize("one", instances, None)
     assert set(line) == {"set", "solves", "certified", "newton_steps", "worst_stationarity",
                          "largest_inner_iters", "lam_min", "comp_gap_over_gap_rel_max",
-                         "trace_dip_max", "gm_digest", "hop_digest", "seconds",
-                         "dense_side_max"}
+                         "trace_dip_max", "gm_digest", "hop_digest", "start_digest",
+                         "seconds", "dense_side_max"}
     assert line["set"] == "one"
     assert line["solves"] == line["certified"] == len(gms) == 5
     assert line["newton_steps"] > 0

@@ -17,7 +17,9 @@ largest ratio of the measured complementarity gap (`check_kkt`'s
 comp_gap_rel) to the central-path one (`gap_rel`), the largest relative
 dip of an objective trace, a digest of the GMs rounded to 9 significant
 digits, a digest of the `hop_counts` reports (`hops` and `peeled_bps`,
-rounded likewise) of the certified IAB solves, the set's wall seconds
+rounded likewise) of the certified IAB solves, a digest of every
+problem's start point (`strictly_feasible_point`'s bytes, in solve
+order), the set's wall seconds
 (building and solving every instance, and counting its hops) and the
 largest side of any dense block the solver factors (its resource, fiber
 and conservation rows).  `--gms` writes every
@@ -62,8 +64,9 @@ SETS = {
 
 
 def solves(instances):
-    """Yield (label, solution or None, certificate, hop report or None) per
-    scenario solve; the certified IAB solves carry their `hop_counts`."""
+    """Yield (label, solution or None, certificate, hop report or None,
+    start point) per scenario solve; the certified IAB solves carry their
+    `hop_counts`."""
     for rows, cols, n_ues, seed, counts in instances:
         topo = ip.generate_grid(rows, cols, INTER_SITE_M, n_ues, seed)
         links = ip.build_link_table(ip.synthetic_gains(topo))
@@ -73,13 +76,14 @@ def solves(instances):
                 prob = ip.assemble(links, ip.make_scenario(v, links, anchors, seed=seed),
                                    anchors)
                 label = f"{rows}x{cols}/{n_ues}/s{seed}/k{k}/{v.value}"
+                start = ip.strictly_feasible_point(prob)
                 try:
                     sol, cert = ip.solve(prob)
                 except ip.ConvergenceError as err:
                     sol, cert = None, err.certificate
                 hops = (ip.hop_counts(prob, sol, anchors)
                         if sol is not None and v.value.startswith("iab") else None)
-                yield label, sol, cert, hops
+                yield label, sol, cert, hops, start
 
 
 def summarize(name, instances, reference):
@@ -100,7 +104,9 @@ def summarize(name, instances, reference):
     finally:
         solver.dpotrf = original
     seconds = time.perf_counter() - start
-    for label, sol, cert, hops in results:
+    start_digest = hashlib.sha256()
+    for label, sol, cert, hops, start in results:
+        start_digest.update(start.tobytes())
         steps += cert.inner_iters + cert.outer_iters
         longest = max(longest, cert.inner_iters)
         trace = np.asarray(cert.objective_trace)
@@ -123,7 +129,7 @@ def summarize(name, instances, reference):
             "worst_stationarity": worst_stat, "largest_inner_iters": longest,
             "lam_min": lam_min, "comp_gap_over_gap_rel_max": gap_ratio,
             "trace_dip_max": dip, "gm_digest": digest[:16],
-            "hop_digest": hop_digest[:16],
+            "hop_digest": hop_digest[:16], "start_digest": start_digest.hexdigest()[:16],
             "seconds": round(seconds, 2), "dense_side_max": side}
     if reference is not None:
         ref = reference.get(name, {})
