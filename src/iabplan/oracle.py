@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .connectivity import bfs_tree
 from .errors import OracleError
@@ -61,16 +59,17 @@ def _routes(problem: RateProblem):
     if ul_acc.shape[0] != n_inc or dl_acc.shape[0] != n_inc:
         raise OracleError("oracle needs exactly one UL and one DL access link per UE")
 
-    # a graph is a forest iff it has n_bs - n_components undirected edges
+    # assemble keeps only edges an anchor reaches, so the pairs join only
+    # sites the anchors reach; those sites number the pairs plus the
+    # anchors exactly when the pairs form trees of one anchor each
     pairs = np.unique(np.sort(np.vstack([problem.ul_backhaul.reshape(-1, 2),
                                          problem.dl_backhaul.reshape(-1, 2)]),
                               axis=1), axis=0)
-    n_comp, tree = csgraph.connected_components(
-        sp.csr_matrix((np.ones(len(pairs)), pairs.T), shape=(B, B)), directed=False)
-    if len(pairs) != B - n_comp:
-        raise OracleError("oracle needs a forest-shaped backhaul")
-    if np.bincount(tree[problem.anchors_y], minlength=n_comp).max(initial=0) > 1:
-        raise OracleError("oracle needs at most one anchor per backhaul tree")
+    anchors = np.flatnonzero(problem.anchors_y)
+    _, reached = bfs_tree(B, np.vstack([pairs, pairs[:, ::-1]]), anchors)
+    if len(pairs) != reached.size - anchors.size:
+        raise OracleError("oracle needs a forest-shaped backhaul with at most one "
+                          "anchor per backhaul tree")
 
     def paths(edges, bs, ue, reverse):
         """Per included UE (in id order): its access variable, the indicator

@@ -27,8 +27,8 @@ geometric mean.  See docs/solver_notes.md for the full derivation.
 All computations run in capacity-normalized units (see problem.py); rates
 are converted to bps only at the reporting boundary.  The solve is
 deterministic: no randomized steps, and the one dense factor per Newton
-step is LAPACK's, so iterates repeat bit for bit under one BLAS build and
-thread count.
+step is LAPACK's unthreaded packed Cholesky, so iterates repeat bit for bit
+under one BLAS build.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpptrf, dpptrs
 
 from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
 from .problem import RateProblem, stack_rows, validate
@@ -122,13 +122,8 @@ class Solution:
 
 
 def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
-    """Interior starting point: 0.9-scaled uniform time split, routed flows.
-
-    Times take a uniform share of the busiest incident BS budget, scaled by
-    0.9.  Flows are built by routing one unit along a canonical anchor<->UE
-    walk for every flow and fiber variable (so each is strictly positive),
-    then scaling all of them to half the tightest capacity bound.
-    """
+    """A copy of `problem.start`, the strictly feasible interior point that
+    `assemble` builds (see its "interior point" section)."""
     return problem.start.copy()
 
 
@@ -156,7 +151,8 @@ class _NewtonSystem:
        each t_k meets at most one (through f_k), so they are eliminated too;
     3. what is left spans the resource, fiber and conservation rows, at
        most 3 per BS whatever the UE count, and is factored by dense
-       Cholesky (LAPACK dpotrf).
+       Cholesky in packed lower storage (LAPACK dpptrf, which OpenBLAS
+       does not thread, so it rounds alike at any thread count).
 
     W = D + R K^-1 R', with K the positive definite block of (dsigma, dt,
     dm).  D >= 0 is zero only on the conservation rows, and a z on those
@@ -217,8 +213,13 @@ class _NewtonSystem:
                            np.arange(n_u), np.arange(n_u))
         low = xb[pp] >= xb[pq]
         self._pair = (pp[low], pq[low], xu[pp[low]])
-        self._flat = np.concatenate([rp[lower] - n_u + (rq[lower] - n_u) * n_b,
-                                     xb[pp[low]] + xb[pq[low]] * n_b])
+        # entry (i, j), i >= j, of the block sits at i + j (2 n_b - j - 1) / 2
+        # of its packed lower triangle, the layout dpptrf reads
+        i = np.concatenate([rp[lower] - n_u, xb[pp[low]]])
+        j = np.concatenate([rq[lower] - n_u, xb[pq[low]]])
+        self._flat = i + j * (2 * n_b - j - 1) // 2
+        d = np.arange(n_b)
+        self._diag = d + d * (2 * n_b - d - 1) // 2
         self._block = (w[lower], coef[lower])
 
     def solve(self, s: np.ndarray, r: np.ndarray, lam: np.ndarray, grad: np.ndarray,
@@ -249,10 +250,9 @@ class _NewtonSystem:
         bw, bc = self._block
         block = np.bincount(self._flat, np.concatenate([weights[bw] * bc,
                                                         -(x[pp] * x[pq] * du[pu])]),
-                            minlength=n_b * n_b)
-        block[::n_b + 1] += row_d[n_u:]
-        factor, info = dpotrf(block.reshape((n_b, n_b), order="F"), lower=1, clean=0,
-                              overwrite_a=1)
+                            minlength=n_b * (n_b + 1) // 2)
+        block[self._diag] += row_d[n_u:]
+        factor, info = dpptrf(n_b, block, lower=1, overwrite_ap=1)
         if info > 0:                     # not positive definite: no step
             return None
         R, R_t, vec = self.R, self.R_t, self._vec
@@ -267,7 +267,7 @@ class _NewtonSystem:
             vec[nf:] = u_y
             rows = R @ (vec + dx) - dz      # E u - (g_z + R_f h), u the pivot-scaled rhs
             c_u = rows[:n_u] * du
-            z_b = dpotrs(factor, rows[n_u:] - np.bincount(xb, x * c_u[xu], minlength=n_b),
+            z_b = dpptrs(n_b, factor, rows[n_u:] - np.bincount(xb, x * c_u[xu], minlength=n_b),
                          lower=1)[0]
             z = np.concatenate([c_u - du * np.bincount(xu, x * z_b[xb], minlength=n_u), z_b])
             y = R_t @ z
@@ -373,7 +373,7 @@ def _center(v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
                 and np.all(lam + d_lam > 0)):
             return v + dv, lam + d_lam, w, it, None
         alpha = _step_to_boundary(v, dv)
-        slope = float(grad @ dx)
+        slope = float(np.multiply(grad, dx).sum())
         while alpha > 1e-14:
             v_new = v + alpha * dv
             if v_new.min() > 0:
@@ -481,7 +481,7 @@ def check_kkt(problem: RateProblem, solution: Solution,
     stationarity = float(np.abs(resid).max()) / scale
 
     s = problem.h - problem.G @ x
-    comp_gap_rel = float(lam @ s) / (2 * problem.n_included)
+    comp_gap_rel = float(np.multiply(lam, s).sum()) / (2 * problem.n_included)
     dual_min = float(lam.min()) if lam.size else 0.0
 
     ok = (stationarity <= tol and primal_ineq <= feas_tol

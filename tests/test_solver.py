@@ -188,18 +188,18 @@ class TestFailureModes:
         assert_failure_certificate(err, prob)
 
     def test_singular_factor_is_typed_failure(self, monkeypatch):
-        # dpotrf reports info > 0 when the dense block is not positive
+        # dpptrf reports info > 0 when the dense block is not positive
         # definite; a solve that meets one mid-way fails typed, with its best
         # iterate paired with lam = 1/(tau s)
         calls = []
 
-        def dpotrf(*args, **kwargs):
+        def dpptrf(*args, **kwargs):
             calls.append(None)
             factor, info = original(*args, **kwargs)
             return factor, (1 if len(calls) == 6 else info)
 
-        original = solver.dpotrf
-        monkeypatch.setattr(solver, "dpotrf", dpotrf)
+        original = solver.dpptrf
+        monkeypatch.setattr(solver, "dpptrf", dpptrf)
         prob = grid_problem(2, 3, 30, 5, 2, "iab_mesh_lb")
         with pytest.raises(ConvergenceError, match="singular Newton matrix") as err:
             solve(prob)
@@ -449,9 +449,9 @@ class TestRegularizedNewtonSystem:
         # no sparse LU: one dense Cholesky factor per Newton step, over the
         # resource, fiber and conservation rows alone
         sides, lus = [], []
-        original, splu = solver.dpotrf, spla.splu
-        monkeypatch.setattr(solver, "dpotrf", lambda a, **kw: sides.append(a.shape) or
-                            original(a, **kw))
+        original, splu = solver.dpptrf, spla.splu
+        monkeypatch.setattr(solver, "dpptrf", lambda n, ap, **kw: sides.append((n, n)) or
+                            original(n, ap, **kw))
         monkeypatch.setattr(spla, "splu", lambda *a, **kw: lus.append(None) or splu(*a, **kw))
         prob = grid_problem(3, 6, 60, 1, 7, "iab_mesh_lb")
         _, cert = solve_checked(prob)
@@ -502,9 +502,17 @@ class TestRegularizedNewtonSystem:
         K = slack_system(prob, s, r, lam)[0].toarray()
         sigma = np.diag(K)[:nf]
         assert np.array_equal(K[:nf, :nf], np.diag(sigma))
-        blocks, original = [], solver.dpotrf
-        monkeypatch.setattr(solver, "dpotrf", lambda a, **kw: blocks.append(np.tril(a)) or
-                            original(a, **kw))
+        blocks, original = [], solver.dpptrf
+
+        def dpptrf(n, ap, **kw):
+            # unpack the packed lower triangle, column by column, before the
+            # factor overwrites it
+            block = np.zeros((n, n))
+            block[np.triu_indices(n)] = ap
+            blocks.append(block.T)
+            return original(n, ap, **kw)
+
+        monkeypatch.setattr(solver, "dpptrf", dpptrf)
         _NewtonSystem(prob).solve(s, r, lam, rng.standard_normal(n), full=False)
         k = n + 2 * prob.n_included              # sigma, (t, m) and the rate rows
         ref = -(K[k:, k:] - K[k:, :k] @ np.linalg.solve(K[:k, :k], K[:k, k:]))

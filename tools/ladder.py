@@ -10,25 +10,27 @@ scenarios at the default solver settings.  The sets:
     mid    3x6/600 UEs seeds 1-3, k=7; 4x8/1000 UEs seed 1, k=10         (20 solves)
     city   6x12/2400 UEs seeds 1-2, k=18                                  (10 solves)
 
-Each set prints one JSON line: solves, certified solves, Newton steps
-(inner_iters + outer_iters summed), the worst stationarity, the most inner
-Newton steps of any one solve, the smallest returned multiplier, the
-largest ratio of the measured complementarity gap (`check_kkt`'s
-comp_gap_rel) to the central-path one (`gap_rel`), the largest relative
-dip of an objective trace, a digest of the GMs rounded to 9 significant
-digits, a digest of the `hop_counts` reports (`hops` and `peeled_bps`,
-rounded likewise) of the certified IAB solves, a digest of every
-problem's start point (`strictly_feasible_point`'s bytes, in solve
-order), the set's wall seconds
-(building and solving every instance, and counting its hops) and the
-largest side of any dense block the solver factors (its resource, fiber
-and conservation rows).  `--gms` writes every
-GM to a JSON file, and `--against` adds the largest relative GM difference
-from such a file.  Run as a script, the ladder sets OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS and MKL_NUM_THREADS to 1 before NumPy loads, as
-bench/run.py does: the threaded factor sums in another order and, on a
-2-CPU VM, took the city set 8-9 s against 4-5 s single-threaded.  The
-ladder is tooling, not a test.
+Each set prints one JSON line:
+
+    solves, certified        solves, and those that return a certified answer
+    newton_steps             inner_iters + outer_iters, summed
+    worst_stationarity       over the certified solves
+    largest_inner_iters      the most inner Newton steps of any one solve
+    lam_min                  the smallest returned multiplier
+    comp_gap_over_gap_rel_max  check_kkt's comp_gap_rel over gap_rel, largest
+    trace_dip_max            the largest relative dip of an objective trace
+    gm_digest                the GMs, rounded to 9 significant digits
+    hop_digest               the certified IAB solves' `hop_counts` reports
+                             (`hops` and `peeled_bps`, rounded likewise)
+    start_digest             every start point's bytes, in solve order
+    seconds                  wall time to build, solve and count hops
+    dense_side_max           the largest dense block the solver factors
+                             (its resource, fiber and conservation rows)
+
+`--gms` writes every GM to a JSON file, and `--against` adds the largest
+relative GM difference from such a file.  The solver uses no threaded BLAS
+kernel, so every line but `seconds` is the same at any BLAS thread count.
+The ladder is tooling, not a test.
 """
 
 from __future__ import annotations
@@ -36,16 +38,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-if __name__ == "__main__":
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"     # single-threaded BLAS, set before NumPy loads
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -90,19 +87,19 @@ def summarize(name, instances, reference):
     # solve returns only certified answers; a failure leaves sol None
     gms, hop_lines = {}, []
     steps, worst_stat, longest, lam_min, gap_ratio, dip = 0, 0.0, 0, np.inf, 0.0, 0.0
-    side, original = 0, solver.dpotrf
+    side, original = 0, solver.dpptrf
 
-    def dpotrf(a, **kwargs):
+    def dpptrf(n, ap, **kwargs):
         nonlocal side
-        side = max(side, a.shape[0])
-        return original(a, **kwargs)
+        side = max(side, n)
+        return original(n, ap, **kwargs)
 
     start = time.perf_counter()
-    solver.dpotrf = dpotrf
+    solver.dpptrf = dpptrf
     try:
         results = list(solves(instances))
     finally:
-        solver.dpotrf = original
+        solver.dpptrf = original
     seconds = time.perf_counter() - start
     start_digest = hashlib.sha256()
     for label, sol, cert, hops, start in results:
