@@ -129,9 +129,12 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
 
     Interior-point solutions leave small circulating flows on links the
     optimum does not use; a balanced leftover field is harmless and only
-    reported (`residual_rel`).  A residual that is *imbalanced* at some
-    relay beyond `residual_tol` means the input violates flow conservation,
-    which raises a DecompositionError.
+    reported (`residual_rel`).  Peeling stops early when demand is left
+    with no path of flow above the peeling threshold, as at tight duality
+    gaps a few 1e-10 of it can be; that demand goes unpeeled.
+    Unmet demand, or a residual *imbalanced* at some relay, beyond
+    `residual_tol` of the backhaul or delivered total means the input
+    violates flow conservation, which raises a DecompositionError.
     """
     B = problem.n_bs
     cls = problem.flow_class_slices()
@@ -180,10 +183,7 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
                     seen[w], pred[w] = True, e
                     queue.append(w)
         else:
-            if max(demand) > eps:
-                raise DecompositionError(
-                    "unmet downlink demand with no remaining flow path "
-                    f"(residual demand {max(demand):.3e})")
+            break                    # no live path left: the unmet demand is checked below
 
     flow, weighted, peeled = np.array(rest), np.array(weighted), np.array(peeled)
     hops = np.full(B, np.nan)
@@ -197,6 +197,11 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
                             minlength=B)
     worst = float(np.abs(imbalance[~anchors.y]).max()) if (~anchors.y).any() else 0.0
     scale = max(total_bh, delivered.sum(), eps)
+    unmet = max(demand)
+    if unmet / scale > residual_tol:
+        raise DecompositionError(
+            "unmet downlink demand with no remaining flow path "
+            f"(residual demand {unmet:.3e})")
     if worst / scale > residual_tol:
         raise DecompositionError(
             f"residual backhaul flow is imbalanced at a relay "

@@ -173,14 +173,35 @@ class RateProblem:
                 fh.write(f"ue{ue}: {ul} / {dl}\n")
 
 
-def stack_rows(blocks, n_col: int) -> sp.csr_matrix:
-    """CSR matrix of row blocks (indptr, indices, data), an indptr possibly a slice."""
+def stack_rows(blocks) -> tuple:
+    """CSR arrays (indptr, indices, data) of row blocks (indptr, indices,
+    data) stacked, an indptr possibly a slice."""
     ends = np.cumsum([0] + [p[-1] - p[0] for p, _i, _d in blocks])
     indptr = np.concatenate([[0]] + [p[1:] - p[0] + e for (p, _i, _d), e in zip(blocks, ends)],
                             dtype=np.intc)      # int32 as in SciPy's own, and no int64 copy
     indices = np.concatenate([i[p[0]:p[-1]] for p, i, _d in blocks], dtype=np.intc)
     data = np.concatenate([d[p[0]:p[-1]] for p, _i, d in blocks])
-    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_col))
+    return indptr, indices, data
+
+
+def csr(indptr, indices, data, n_col: int) -> sp.csr_matrix:
+    """CSR matrix of the rows (indptr, indices, data), an indptr possibly a
+    slice, with int32 indices as in SciPy's own."""
+    lo, hi = indptr[0], indptr[-1]
+    return sp.csr_matrix((data[lo:hi], indices[lo:hi].astype(np.intc, copy=False),
+                          (indptr - lo).astype(np.intc, copy=False)),
+                         shape=(indptr.size - 1, n_col))
+
+
+def sorted_rows(rows, n_rows: int, indices, data):
+    """CSR arrays (indptr, indices, data) of entries at `rows`, by one
+    stable sort: each row keeps its entries in the order given.  The sort
+    key is the smallest unsigned type that holds a row, so that NumPy
+    radix-sorts up to 65,536 rows.  The indices are int32, as `csr` keeps
+    them."""
+    order = np.argsort(rows.astype(np.min_scalar_type(n_rows)), kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    return indptr, indices[order].astype(np.intc), data[order]
 
 
 def assemble(links: LinkTable, pattern: ConnectivityPattern,
@@ -275,15 +296,18 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     sign = np.stack([out, -out], axis=1).ravel()[at_bs]
 
     # --- inequalities: f - c t <= 0, resource and fiber rows, -x <= 0 -----
+    # rows are built straight into CSR, each listing its columns in order
     fiber_bs, fiber_row = np.unique(m_bs, return_inverse=True)
-    res_fib = sp.csr_matrix((np.ones(node.size + nm), (np.concatenate([node, B + fiber_row]),
-                             np.concatenate([nf + col, m_col]))), shape=(B + fiber_bs.size, n))
-    res_ptr = np.unique(res_fib.indptr)        # drops the rows of BSs with no link
+    res_ptr, res_ind, res_data = sorted_rows(np.concatenate([node, B + fiber_row]),
+                                             B + fiber_bs.size,
+                                             np.concatenate([nf + col, m_col]),
+                                             np.ones(node.size + nm))
+    res_ptr = np.unique(res_ptr)               # drops the rows of BSs with no link
     n_res, n_fib = res_ptr.size - 1 - fiber_bs.size, fiber_bs.size
-    G = stack_rows([(2 * np.arange(nf + 1), np.stack([k, nf + k], axis=1).ravel(),
-                     np.stack([np.ones(nf), -cap], axis=1).ravel()),
-                    (res_ptr, res_fib.indices, res_fib.data),
-                    (np.arange(n + 1), np.arange(n), -np.ones(n))], n)
+    G = csr(*stack_rows([(2 * np.arange(nf + 1), np.stack([k, nf + k], axis=1).ravel(),
+                          np.stack([np.ones(nf), -cap], axis=1).ravel()),
+                         (res_ptr, res_ind, res_data),
+                         (np.arange(n + 1), np.arange(n), -np.ones(n))]), n)
     h = np.concatenate([np.zeros(nf), np.ones(n_res), np.full(n_fib, fiber_norm), np.zeros(n)])
     o = np.cumsum([0, nf, n_res, n_fib, n]).tolist()
     row_slices = {
@@ -294,18 +318,19 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     }
 
     # --- equalities: flow conservation, row 2b (DL) and 2b + 1 (UL) -------
-    A = sp.csr_matrix((np.concatenate([sign, -np.ones(nm)]),
-                       (np.concatenate([2 * node + is_ul[col], 2 * m_bs + m_ul]),
-                        np.concatenate([col, m_col]))), shape=(2 * B, n))
-    kept = np.flatnonzero(np.diff(A.indptr))      # drop the empty rows through indptr
-    A = sp.csr_matrix((A.data, A.indices, np.unique(A.indptr)), shape=(kept.size, n))
+    a_ptr, a_ind, a_data = sorted_rows(np.concatenate([2 * node + is_ul[col], 2 * m_bs + m_ul]),
+                                       2 * B, np.concatenate([col, m_col]),
+                                       np.concatenate([sign, -np.ones(nm)]))
+    kept = np.flatnonzero(np.diff(a_ptr))         # drop the empty rows through indptr
+    A = csr(np.unique(a_ptr), a_ind, a_data, n)
 
     # --- objective aggregation --------------------------------------------
     ue_ids = np.flatnonzero(included)
     n_inc = ue_ids.size
     ue_row = np.searchsorted(ue_ids, np.concatenate([ul_access[:, 0], dl_access[:, 1]]))
-    U_mat = sp.csr_matrix((np.ones(na + nd), (ue_row + np.repeat([0, n_inc], [na, nd]),
-                                              np.arange(na + nd))), shape=(2 * n_inc, n))
+    u_ptr, u_ind, u_data = sorted_rows(ue_row + np.repeat([0, n_inc], [na, nd]), 2 * n_inc,
+                                       np.arange(na + nd), np.ones(na + nd))
+    U_mat = csr(u_ptr, u_ind, u_data, n)
 
     # --- interior point: a unit per variable on an anchor<->UE walk -------
     # The walks follow the reach trees: a node on a walk reaches its ends

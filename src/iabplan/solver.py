@@ -11,7 +11,8 @@ with damped Newton steps.  Each step solves, in augmented form, the system
     [ H   A' ] [dx]   [-grad]          H  = tau * H_F + G' diag(tau lam/s) G
     [ A   0  ] [ w] = [  0  ]          s  = h - G x  (slacks, kept > 0)
 
-so every iterate satisfies the conservation equalities exactly.  Slacks,
+so every iterate satisfies the conservation equalities exactly; it is
+solved in the slack coordinates of `_NewtonSystem`, dx = T dy.  Slacks,
 rates and the inequality multipliers lam are carried with the steps, not
 recomputed from x; lam = 1/(tau s) would give the primal barrier step.
 x itself is read from s: the slacks of the rows -x <= 0 are x.  A
@@ -40,7 +41,7 @@ import numpy as np
 from scipy.linalg.lapack import dpptrf, dpptrs
 
 from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
-from .problem import RateProblem, stack_rows, validate
+from .problem import RateProblem, csr, sorted_rows, stack_rows, validate
 
 _TAU0 = 1.0
 _BARRIER_INCREASE = 100.0  # tau multiplier per centering (docs: Barrier schedule)
@@ -128,187 +129,257 @@ def strictly_feasible_point(problem: RateProblem) -> np.ndarray:
 
 
 class _NewtonSystem:
-    """Augmented KKT system of the Newton step, solved by block elimination
-    onto the base-station rows and one dense Cholesky factor.
+    """Augmented KKT system of the Newton step in slack coordinates, solved
+    by block elimination onto the base-station rows and one dense Cholesky
+    factor.
 
-    In slack coordinates sigma_k = c_k t_k - f_k the unknowns are
-    dy = (dsigma, dt, dm), so dx = (c dt - dsigma, dt, dm), and z for the
-    rows R = [U; G_c; A], whose diagonal block is -D = -diag(r^2, s_c/lam_c, 0).
-    With a = lam/s on capacity row k and d_f, d_t, d_m the nonnegativity
-    weights of f, t and m, dsigma_k meets only its own diagonal a + d_f,
-    its t_k entry -c d_f and R's f_k column R_f, so it is eliminated exactly:
+    The unknowns are y = (sigma, t, m), with sigma_k = c_k t_k - f_k the
+    slack of capacity row k, so x = T y = (c t - sigma, t, m), and z for the
+    rows R = [U; G_c; A], whose diagonal block is -D = -diag(r^2, s_c/lam_c,
+    0).  The step is read through M_y = [-G; U] T, which maps dy to the
+    step (ds, dr) of the slacks and rates: a capacity row of -G T is
+    sigma_k alone, so that slack's step is dsigma itself, and the
+    nonnegativity rows are T.  The system multiplies by R_y = R T.  Both
+    are built once per solve from the CSR arrays, an entry v in column f_k
+    becoming -v at sigma_k and c_k v at t_k; x-coordinate M and R are not
+    built.  The barrier rows weigh capacity row k by a = lam/s and the
+    nonnegativity rows of f, t and m by d_f, d_t and d_m, so the variable
+    block K is 2x2 per flow, [[a + d_f, -c d_f], [-c d_f, d_t + c^2 d_f]]
+    over (sigma_k, t_k), and d_m on m.  With det = a (c^2 d_f + d_t) +
+    d_f d_t, a sum of positive terms, K^-1 is two diagonals applied to the
+    stacked y: P = ((d_t + c^2 d_f) / det, (a + d_f) / det, 1/d_m) and the
+    off-diagonal P_st = c d_f / det, which couples sigma_k and t_k.  K is
+    the same two diagonals, so the refinement residual g - K dy - R_y'z
+    costs a few vector operations.
 
-        dsigma = (g_sigma + c d_f dt + R_f' z) / (a + d_f).
+    Eliminating dy = K^-1 (g - R_y'z) leaves W z = R_y K^-1 g - g_z, with
+    W = D + R_y K^-1 R_y' = D + R K_x^-1 R' and K_x^-1 = T K^-1 T', which
+    is factored in two stages:
 
-    That leaves N, over (dt, dm, z): the diagonal p = (d_t + c^2 d_f q, d_m)
-    with q = a/(a + d_f), the coupling E = [R_f diag(cq) + R_t, R_m] and the
-    row block -(D + R_f diag(1/(a + d_f)) R_f').  The solver factors N in
-    three stages:
-
-    1. (dt, dm) is diagonal with positive pivots, which leaves
-       W = D + R_f diag(1/(a + d_f)) R_f' + E diag(1/p) E' over the rows;
-    2. W is diagonal on the rate rows, since no flow enters two of them and
-       each t_k meets at most one (through f_k), so they are eliminated too;
-    3. what is left spans the resource, fiber and conservation rows, at
+    1. W is diagonal on the rate rows, since no flow enters two of them and
+       each t_k meets at most one (through f_k), so they are eliminated;
+    2. what is left spans the resource, fiber and conservation rows, at
        most 3 per BS whatever the UE count, and is factored by dense
        Cholesky in packed lower storage (LAPACK dpptrf, which OpenBLAS
        does not thread, so it rounds alike at any thread count).
 
-    W = D + R K^-1 R', with K the positive definite block of (dsigma, dt,
-    dm).  D >= 0 is zero only on the conservation rows, and a z on those
-    alone has R'z != 0 because A has full row rank (problem.py), so W and
-    stage 3's block, its Schur complement, are positive definite with no
-    regularization.  W sums, per flow, alpha (R_f e_k)(R_f e_k)' + beta
-    ((R_f e_k)(R_t e_k)' + its transpose) + gamma (R_t e_k)(R_t e_k)', with
-    gamma = 1/p, beta = c q gamma and alpha = 1/(a + d_f) + c q beta, and
-    gamma (R_m e_j)(R_m e_j)' per fiber variable.  The entry pairs of those
-    columns are listed here, and each step's block is one bincount of them
-    and of the rate-row elimination's pairs.  Relies on assemble's layout:
-    G's rows open with capacity row k, f_k - c_k t_k, and close with
-    nonnegativity row i, -x_i, and the access flows come first, each
-    entering one rate row and one conservation row, its t_k one resource
-    row.  Refinement against the full system removes the elimination's
-    rounding.  See docs/solver_notes.md, "Augmented system" to "Refinement".
+    D >= 0 is zero only on the conservation rows, and a z on those alone
+    has R'z != 0 because A has full row rank (problem.py), so W and stage
+    2's block, its Schur complement, are positive definite with no
+    regularization.  W is summed over R's columns in the x-coordinate
+    weights, the entries of K_x^-1: per flow alpha (R_f e_k)(R_f e_k)' +
+    beta ((R_f e_k)(R_t e_k)' + its transpose) + gamma (R_t e_k)(R_t e_k)',
+    with alpha = (c^2 a + d_t) / det, beta = c a / det and gamma = P_tt,
+    and gamma = 1/d_m (R_m e_j)(R_m e_j)' per fiber variable.  The entry
+    pairs of those columns are listed once per solve, and each step's
+    block is one bincount of them, of D's diagonal and of the rate-row
+    elimination's pairs.  Relies on assemble's layout: G's rows open with
+    capacity row k, f_k - c_k t_k, and close with nonnegativity row i,
+    -x_i, and the access flows come first, each entering one rate row and
+    one conservation row, its t_k one resource row.  Refinement against
+    the full system removes the elimination's rounding.  See
+    docs/solver_notes.md, "Augmented system" to "Refinement".
     """
 
     def __init__(self, problem: RateProblem):
         nf, n, rs = problem.n_flow, problem.n_var, problem.row_slices
-        G, U, A = problem.G, problem.U_mat, problem.A
+        U, A = problem.U_mat, problem.A
         self.problem = problem
-        self.sl_c = slice(rs["resource"].start, rs["fiber"].stop)
-        # M dx = (ds, dr), the step of the slacks and the rates
-        self.M = stack_rows([(G.indptr, G.indices, -G.data), (U.indptr, U.indices, U.data)], n)
-        self.R = R = stack_rows([(U.indptr, U.indices, U.data),
-                                 (G.indptr[self.sl_c.start:self.sl_c.stop + 1], G.indices, G.data),
-                                 (A.indptr, A.indices, A.data)], n)
-        self.M_t, self.R_t = self.M.T, R.T          # CSC views
-        n_u = U.shape[0]
+        self.sl_c = sl_c = slice(rs["resource"].start, rs["fiber"].stop)
+        n_u, n_c = U.shape[0], sl_c.stop - sl_c.start
         self.n_u, self.n_eq = n_u, A.shape[0]
-        self.n_b = n_b = R.shape[0] - n_u           # resource, fiber and conservation rows
-        self._vec = np.zeros(n)
+        self.n_b = n_b = n_c + self.n_eq            # resource, fiber and conservation rows
+        self.M_y, self.R_y, (c_ptr, c_row, c_dat) = _slack_operators(problem, sl_c)
+        self.M_yt, self.R_yt = self.M_y.T, self.R_y.T     # CSC views
 
-        # the column pairs of R whose entries meet in W, with the index of
-        # their weight in (alpha, beta, gamma), which sit at k, nf + k and
-        # nf + column: f_k with itself and with t_k for the access flows in
-        # rate-row order, then for the other flows, t_k with f_k, and every
-        # t and m column with itself
-        acc, k, j = U.indices, np.arange(nf), np.arange(nf, n)
-        rest, ft = np.arange(acc.size, nf), np.stack([acc, nf + acc], axis=1).ravel()
-        a = np.concatenate([np.repeat(acc, 2), rest, rest, nf + k, j])
-        b = np.concatenate([ft, rest, nf + rest, k, j])
-        w = np.concatenate([ft, rest, nf + rest, nf + k, nf + j])
-        Rc = R.tocsc()
-        p, q, g = _pairs(Rc.indptr, a, b)
-        rp, rq = Rc.indices[p], Rc.indices[q]
-        coef, w = Rc.data[p] * Rc.data[q], w[g]
+        # per-solve buffers, rewritten each step: the weights (alpha, beta,
+        # K^-1's diagonal P over y, D's diagonal), K's diagonal, and K's
+        # and K^-1's off-diagonals, zero on m; `swap` exchanges sigma_k
+        # and t_k
+        self._buf = np.zeros(2 * nf + n + n_u + n_b)
+        self._p_d, self._row_d = self._buf[2 * nf:2 * nf + n], self._buf[2 * nf + n:]
+        self._r2, self._row_c = self._row_d[:n_u], self._row_d[n_u:n_u + n_c]
+        self._k_d, self._k_o, self._p_o = np.empty(n), np.zeros(n), np.zeros(n)
+        self._swap = swap = np.arange(n)
+        swap[:nf] += nf
+        swap[nf:2 * nf] -= nf
+
+        # the column pairs of R whose entries meet in W's lower triangle or
+        # on the rate rows, by the index in the buffer of their weight:
+        # f_k with itself (alpha_k at k) and with t_k (beta_k at nf + k),
+        # and every t and m column j with itself (gamma at 2 nf + j).  t_k
+        # with f_k would pair a resource row with a later row of R
+        j = np.arange(nf, n)
+        b = np.concatenate([np.arange(2 * nf), j])
+        w = np.concatenate([np.arange(2 * nf), 2 * nf + j])
+        p, q, g = _pairs(c_ptr, np.concatenate([np.arange(nf), np.arange(n)]), b)
+        rp, rq = c_row[p], c_row[q]
+        coef, w = c_dat[p] * c_dat[q], w[g]
         to_b, from_u = rq >= n_u, rp < n_u
         lower = to_b & (rp >= rq)                   # the lower triangle of the BS rows
-        coupled = to_b & from_u                     # rate row rp, BS row rq, by rate row
         own = from_u & ~to_b                        # a rate row's own diagonal
-        self._du = (rp[own], w[own], coef[own])
-        self._x = (rp[coupled], rq[coupled] - n_u, w[coupled], coef[coupled])
-        xu, xb = self._x[:2]
+        # rate row rp's couplings to BS row rq, by rate row
+        coupled = np.flatnonzero(to_b & from_u)
+        coupled = coupled[np.argsort(rp[coupled], kind="stable")]
+        # one gather gives the rate rows' diagonals, r^2 included, and the couplings
+        d_row = 2 * nf + n + np.arange(n_u)
+        self._gather = (np.concatenate([w[own], d_row, w[coupled]]),
+                        np.concatenate([coef[own], np.ones(n_u), coef[coupled]]))
+        self._du_row = np.concatenate([rp[own], np.arange(n_u)])
+        self._x = (rp[coupled], rq[coupled] - n_u)
+        xu, xb = self._x
         # pairs of couplings of one rate row, which its elimination joins
         pp, pq, _ = _pairs(np.concatenate([[0], np.cumsum(np.bincount(xu, minlength=n_u))]),
                            np.arange(n_u), np.arange(n_u))
         low = xb[pp] >= xb[pq]
         self._pair = (pp[low], pq[low], xu[pp[low]])
         # entry (i, j), i >= j, of the block sits at i + j (2 n_b - j - 1) / 2
-        # of its packed lower triangle, the layout dpptrf reads
-        i = np.concatenate([rp[lower] - n_u, xb[pp[low]]])
-        j = np.concatenate([rq[lower] - n_u, xb[pq[low]]])
+        # of its packed lower triangle, the layout dpptrf reads; D's nonzero
+        # diagonal on the BS rows joins the R-part, with weight 1 on its
+        # buffer entries
+        d = np.arange(n_c)
+        i = np.concatenate([rp[lower] - n_u, d, xb[pp[low]]])
+        j = np.concatenate([rq[lower] - n_u, d, xb[pq[low]]])
         self._flat = i + j * (2 * n_b - j - 1) // 2
-        d = np.arange(n_b)
-        self._diag = d + d * (2 * n_b - d - 1) // 2
-        self._block = (w[lower], coef[lower])
+        self._block = (np.concatenate([w[lower], d_row[-1] + 1 + d]),
+                       np.concatenate([coef[lower], np.ones(n_c)]))
 
-    def solve(self, s: np.ndarray, r: np.ndarray, lam: np.ndarray, grad: np.ndarray,
-              full: bool = True):
-        """Newton step (dx, w) at slacks s = h - Gx, rates r = Ux and
-        inequality multipliers lam, with row weights lam / s, or None when
-        the dense factor is not positive definite.  The step is refined
-        against the whole system, dsigma rows included:
-        _REFINE_PASSES passes with `full`, one without."""
+    def solve(self, wt: np.ndarray, r: np.ndarray, g: np.ndarray, full: bool = True):
+        """Newton step (dy, w) at row weights wt = lam / s and rates r, for
+        the right-hand side g = -T' grad psi, or None when the dense factor
+        is not positive definite.  The step is refined against the whole
+        system: _REFINE_PASSES passes with `full`, one without."""
         p = self.problem
         nf, n, c, n_u, n_b = p.n_flow, p.n_var, p.cap, self.n_u, self.n_b
-        wt = lam / s
+        buf, p_d, row_d = self._buf, self._p_d, self._row_d
+        k_d, k_o, p_o, swap = self._k_d, self._k_o, self._p_o, self._swap
         a, d = wt[:nf], wt[-n:]         # capacity rows come first, nonnegativity last
-        d_f, d_t, d_m = d[:nf], d[nf:2 * nf], d[2 * nf:]
-        cd, a_f = c * d_f, a + d_f
-        inv = 1.0 / a_f
-        cq = c * a * inv
-        gam = 1.0 / np.concatenate([d_t + cd * cq, d_m])
-        beta = cq * gam[:nf]
-        weights = np.concatenate([inv + cq * beta, beta, gam])
-        row_d = np.concatenate([r ** 2, 1.0 / wt[self.sl_c], np.zeros(self.n_eq)])
+        d_f, d_t = d[:nf], d[nf:2 * nf]
+        cd = c * d_f
+        np.add(a, d_f, out=k_d[:nf])
+        k_d[nf:] = d[nf:]
+        k_d[nf:2 * nf] += c * cd
+        np.negative(cd, out=k_o[:nf])
+        k_o[nf:2 * nf] = k_o[:nf]
+        inv_det = 1.0 / (a * k_d[nf:2 * nf] + d_f * d_t)
+        ca = c * a
+        np.multiply(c * ca + d_t, inv_det, out=buf[:nf])          # alpha
+        np.multiply(ca, inv_det, out=buf[nf:2 * nf])              # beta
+        np.multiply(k_d[nf:2 * nf], inv_det, out=p_d[:nf])        # P_ss
+        np.multiply(k_d[:nf], inv_det, out=p_d[nf:2 * nf])        # P_tt
+        np.divide(1.0, d[2 * nf:], out=p_d[2 * nf:])
+        np.multiply(cd, inv_det, out=p_o[:nf])                    # P_st
+        p_o[nf:2 * nf] = p_o[:nf]
+        np.multiply(r, r, out=self._r2)
+        np.divide(1.0, wt[self.sl_c], out=self._row_c)
 
-        du_row, du_w, du_c = self._du
-        du = 1.0 / (row_d[:n_u] + np.bincount(du_row, weights[du_w] * du_c, minlength=n_u))
-        xu, xb, xw, xc = self._x
-        x = weights[xw] * xc
+        idx, coef = self._gather
+        wx = buf[idx] * coef
+        du_row = self._du_row
+        du = 1.0 / np.bincount(du_row, wx[:du_row.size], minlength=n_u)
+        x = wx[du_row.size:]
+        xu, xb = self._x
         pp, pq, pu = self._pair
         bw, bc = self._block
-        block = np.bincount(self._flat, np.concatenate([weights[bw] * bc,
-                                                        -(x[pp] * x[pq] * du[pu])]),
+        block = np.bincount(self._flat, np.concatenate([buf[bw] * bc, -(x[pp] * x[pq] * du[pu])]),
                             minlength=n_b * (n_b + 1) // 2)
-        block[self._diag] += row_d[n_u:]
         factor, info = dpptrf(n_b, block, lower=1, overwrite_ap=1)
         if info > 0:                     # not positive definite: no step
             return None
-        R, R_t, vec = self.R, self.R_t, self._vec
+        R_y, R_yt = self.R_y, self.R_yt
 
-        def eliminated(g_s, g_t, g_m, dx=0.0, dz=0.0):
-            """Solve the full system for g = (g_sigma, g_t, g_m, dz - R dx):
-            reduce to the rows, eliminate the rate rows, solve on the factor
-            and back-substitute.  Returns (dsigma, dt, dm, z) and R'z."""
-            h = inv * g_s
-            u_y = np.concatenate([g_t + cd * h, g_m]) * gam
-            np.subtract(cq * u_y[:nf], h, out=vec[:nf])
-            vec[nf:] = u_y
-            rows = R @ (vec + dx) - dz      # E u - (g_z + R_f h), u the pivot-scaled rhs
+        def eliminated(g, dy=None, dz=None):
+            """Solve the full system for g = (g_y, dz - R_y dy): reduce to the
+            rows, eliminate the rate rows, solve on the factor and
+            back-substitute.  Returns dy, z and R_y'z."""
+            u = p_d * g
+            u += p_o * g[swap]
+            rows = R_y @ u if dy is None else R_y @ (u + dy) - dz
             c_u = rows[:n_u] * du
             z_b = dpptrs(n_b, factor, rows[n_u:] - np.bincount(xb, x * c_u[xu], minlength=n_b),
                          lower=1)[0]
             z = np.concatenate([c_u - du * np.bincount(xu, x * z_b[xb], minlength=n_u), z_b])
-            y = R_t @ z
-            dt = u_y[:nf] - gam[:nf] * (cq * y[:nf] + y[nf:2 * nf])
-            return np.concatenate([inv * (g_s + cd * dt + y[:nf]), dt,
-                                   u_y[nf:] - gam[nf:] * y[2 * nf:], z]), y
+            q = R_yt @ z
+            e = g - q
+            step = p_d * e
+            step += p_o * e[swap]
+            return step, z, q
 
-        # the Newton right-hand side in slack coordinates, zero on the rows
-        g_s, g_t, g_m = grad[:nf], -(c * grad[:nf] + grad[nf:2 * nf]), -grad[2 * nf:]
-        v, y = eliminated(g_s, g_t, g_m)
-        c_tt = c * cd + d_t
+        dy, z, q = eliminated(g)
         for _ in range(_REFINE_PASSES if full else 1):
-            # the residual of the full system at v = (dsigma, dt, dm, z),
-            # whose R'z is y, and a correction from it
-            sigma, t, m = v[:nf], v[nf:2 * nf], v[2 * nf:n]
-            dv, dy = eliminated(g_s - (a_f * sigma - cd * t - y[:nf]),
-                                g_t - (c_tt * t - cd * sigma + c * y[:nf] + y[nf:2 * nf]),
-                                g_m - (d_m * m + y[2 * nf:]),
-                                np.concatenate([c * t - sigma, v[nf:n]]), row_d * v[n:])
-            v += dv
-            y += dy
-        return np.concatenate([c * v[nf:2 * nf] - v[:nf], v[nf:n]]), v[-self.n_eq:]
+            # the residual of the full system at (dy, z), whose R_y'z is q,
+            # and a correction from it
+            e_dy, e_z, e_q = eliminated(g - q - k_d * dy - k_o * dy[swap], dy, row_d * z)
+            dy += e_dy
+            z += e_z
+            q += e_q
+        return dy, z[-self.n_eq:]
+
+
+def _slack_operators(problem: RateProblem, sl_c: slice):
+    """M_y = [-G; U] T and R_y = [U; G_c; A] T as CSR matrices, and the CSC
+    arrays (indptr, row, data) of R = [U; G_c; A], which only the listing
+    of the dense block's pairs reads, all from the CSR arrays of G, U and
+    A.  G_c is G's rows sl_c."""
+    nf, n, c = problem.n_flow, problem.n_var, problem.cap
+    G, U, A = problem.G, problem.U_mat, problem.A
+    g_c = (G.indptr[sl_c.start:sl_c.stop + 1], G.indices, G.data)
+    # the capacity slacks' own rows, then x's rows [-G_c; I; U; G_c; A]
+    # (-G closes with -G_c and -(-I)): times T they are M_y = [sigma; -G_c;
+    # T; U T] followed by [G_c; A T], as I T = T is the step of the
+    # nonnegativity slacks, which are x, and R_y = [U T; G_c; A T] is the
+    # run from U T on
+    ptr, ind, dat = stack_rows([(np.arange(nf + 1), np.arange(nf), np.ones(nf)),
+                                (G.indptr[sl_c.start:], G.indices, -G.data),
+                                (U.indptr, U.indices, U.data), g_c,
+                                (A.indptr, A.indices, A.data)])
+    y = _times_t(ptr, ind, dat, c, nf)
+    r_start = nf + sl_c.stop - sl_c.start + n   # the rows of R, and of R_y
+    r0 = ptr[r_start]
+    return (csr(y[0][:r_start + U.shape[0] + 1], *y[1:], n), csr(y[0][r_start:], *y[1:], n),
+            sorted_rows(ind[r0:], n, np.repeat(np.arange(ptr.size - 1 - r_start),
+                                               np.diff(ptr[r_start:])), dat[r0:]))
+
+
+def _times_t(indptr, indices, data, cap, start):
+    """CSR arrays of rows (indptr, indices, data) times T, which maps
+    y = (sigma, t, m) to x = (c t - sigma, t, m), the entries before
+    `start` being in y already: an entry v in column f_k becomes -v in
+    column sigma_k = k and c_k v in column t_k = nf + k, side by side.  Rows
+    holding f_k and t_k would cancel; none is passed here."""
+    nf = cap.size
+    f = indices < nf
+    f[:start] = False
+    at_f = np.flatnonzero(f)
+    second = at_f + np.arange(1, at_f.size + 1)     # where each c_k v goes
+    reps = f + 1
+    out_ind, out_dat = np.repeat(indices, reps), np.repeat(data, reps)
+    k = indices[at_f]
+    out_ind[second] = k + nf
+    out_dat[second - 1] = -data[at_f]
+    out_dat[second] *= cap[k]
+    return indptr + np.concatenate([[0], np.cumsum(f)])[indptr], out_ind, out_dat
 
 
 def _pairs(ptr, a, b):
     """Every pair (p, q) of an entry p of column a[i] and an entry q of
     column b[i] of a compressed matrix with index pointer ptr, and its i."""
-    na, nb = ptr[a + 1] - ptr[a], ptr[b + 1] - ptr[b]
-    size = na * nb
+    count = np.diff(ptr)
+    nb = count[b]
+    size = count[a] * nb
     i = np.repeat(np.arange(a.size), size)
-    off = np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
-    nb_i = nb[i]
-    return ptr[a][i] + off // nb_i, ptr[b][i] + off % nb_i, i
+    p, q = np.divmod(np.arange(i.size) - (np.cumsum(size) - size)[i], nb[i])
+    return ptr[a[i]] + p, ptr[b[i]] + q, i
 
 
-def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
-    """Ratio test: the full step, or 99% of the longest that keeps v + alpha dv
-    strictly positive, whichever is shorter."""
-    # v / min(dv, -1e-300) is v / dv where dv < 0 and hugely negative elsewhere
-    with np.errstate(over="ignore"):
-        return min(1.0, _BOUNDARY_BACKOFF * -float((v / np.minimum(dv, -1e-300)).max()))
+def _steps_to_boundary(v: np.ndarray, dv: np.ndarray, lam: np.ndarray,
+                       d_lam: np.ndarray) -> tuple:
+    """Both ratio tests in one call: for v and for lam, the full step, or 99%
+    of the longest that keeps the vector plus alpha times its step strictly
+    positive, whichever is shorter."""
+    # the most negative relative step dx / x, or -1e-300 when none is
+    return tuple(min(1.0, -_BOUNDARY_BACKOFF / min(float((d / x).min()), -1e-300))
+                 for x, d in ((v, dv), (lam, d_lam)))
 
 
 def _center(v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
@@ -328,12 +399,16 @@ def _center(v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
 
     Minimizes psi = F + phi/tau (the 1/tau scaling keeps values and
     gradients at the scale of F for any tau, so line-search comparisons
-    stay above floating-point noise).  Each step is the primal-dual one:
-    the Newton matrix weighs row k by lam_k / s_k in place of the primal
-    1/(tau s_k^2), and the right-hand side stays -grad psi, so dx descends
-    psi and the line search is unchanged.  The multipliers take their own
-    step dlam = 1/(tau s) - lam - (lam / s) ds, damped to stay positive,
-    and are then kept within a factor `_LAM_SPREAD` of 1/(tau s), so a
+    stay above floating-point noise).  The step is taken in the slack
+    coordinates y of `_NewtonSystem`: its right-hand side -T' grad psi is
+    M_y'(1/(tau s), 1/r), and M_y dy is the step (ds, dr) of the carried
+    slacks and rates, whose capacity-slack part is dsigma itself.  Each
+    step is the primal-dual one: the Newton matrix weighs row k by
+    lam_k / s_k in place of the primal 1/(tau s_k^2), and the right-hand
+    side stays -grad psi, so dy descends psi and the line search is
+    unchanged.  The multipliers take their own step
+    dlam = 1/(tau s) - lam - (lam / s) ds, damped to stay positive, and
+    are then kept within a factor `_LAM_SPREAD` of 1/(tau s), so a
     centering that makes no progress cannot blow them up; lam = 1/(tau s)
     gives the primal barrier step.  Stops once the half squared Newton
     decrement is below `tol`, the full step keeps every slack positive
@@ -343,37 +418,39 @@ def _center(v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
     full step and returns the step's multipliers
     lam + dlam = 1/(tau s) - (lam / s) ds, and w.  They satisfy
     stationarity at the new point up to the linear solve's residual and a
-    term quadratic in dx.  On failure lam is the carried multiplier of the
+    term quadratic in dy.  On failure lam is the carried multiplier of the
     last iterate.
     """
-    M, M_t, m = newton.M, newton.M_t, lam.size
+    M_y, M_yt, m = newton.M_y, newton.M_yt, lam.size
     tol = _NEWTON_TOL if last else _PATH_TOL
     w = np.zeros(newton.n_eq)      # returned as is if the first factor is singular
     tau_v = np.concatenate([np.full(m, tau), np.ones(v.size - m)])
 
     def barrier(v):
-        return -np.log(v[m:]).sum() - np.log(v[:m]).sum() / tau
+        log_v = np.log(v)
+        return -log_v[m:].sum() - log_v[:m].sum() / tau
 
     psi = barrier(v)
     for it in range(max_iters):
         inv_v = 1.0 / v
-        y = inv_v / tau_v               # (1/(tau s), 1/r), and M = [-G; U]
-        grad = -(M_t @ y)
-        step = newton.solve(v[:m], v[m:], lam, grad, full=last)
+        y = inv_v / tau_v               # (1/(tau s), 1/r)
+        g = M_yt @ y                    # -grad psi in slack coordinates
+        wt = lam * inv_v[:m]
+        step = newton.solve(wt, v[m:], g, full=last)
         if step is None:
             return v, lam, w, it, "singular Newton matrix"
-        dx, w = step
-        dv = M @ dx
+        dy, w = step
+        dv = M_y @ dy
         ds = dv[:m]
-        d_lam = y[:m] - lam - lam * inv_v[:m] * ds
+        d_lam = y[:m] - lam - wt * ds
         q = dv * inv_v
         q *= q
         decrement = float(q[m:].sum() + q[:m].sum() / tau)
         if (decrement / 2.0 <= tol and np.all(np.abs(ds) < v[:m])
                 and np.all(lam + d_lam > 0)):
             return v + dv, lam + d_lam, w, it, None
-        alpha = _step_to_boundary(v, dv)
-        slope = float(np.multiply(grad, dx).sum())
+        alpha, alpha_lam = _steps_to_boundary(v, dv, lam, d_lam)
+        slope = -float(np.multiply(g, dy).sum())
         while alpha > 1e-14:
             v_new = v + alpha * dv
             if v_new.min() > 0:
@@ -384,7 +461,7 @@ def _center(v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
         else:
             return v, lam, w, it, "line search failed"
         v, psi = v_new, psi_new
-        lam = lam + _step_to_boundary(lam, d_lam) * d_lam
+        lam = lam + alpha_lam * d_lam
         central = 1.0 / (tau * v[:m])
         lam = np.minimum(np.maximum(lam, central / _LAM_SPREAD), central * _LAM_SPREAD)
     return v, lam, w, max_iters, "inner Newton iteration cap hit"
@@ -415,8 +492,8 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
     m_ineq = problem.G.shape[0]
 
     newton = _NewtonSystem(problem)
-    v = (np.concatenate([problem.h, np.zeros(n_terms)])     # (s, r)
-         + newton.M @ strictly_feasible_point(problem))
+    x0 = strictly_feasible_point(problem)
+    v = np.concatenate([problem.h - problem.G @ x0, problem.U_mat @ x0])    # (s, r)
     if np.any(v <= 0):
         raise InfeasibleProblemError("starting point is not strictly feasible")
     # the last tau, 5% past the gap bound, keeps the final gap below the tolerance

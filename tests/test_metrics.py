@@ -116,6 +116,20 @@ class TestHopCounts:
         with pytest.raises(DecompositionError, match="imbalanced at a relay"):
             hop_counts(prob, fake, anchors)
 
+    def test_tight_gap_leaves_a_sliver_unpeeled(self):
+        # certified at 1e-8, this solve leaves a few 1e-10 of one relay's
+        # demand with no path of flow above the peeling threshold; that
+        # sliver goes unpeeled, and is far inside residual_tol
+        prob, anchors = self.grid("iab_mesh_lb")
+        sol, _ = solve(prob, SolverConfig(duality_gap_tol=1e-8))
+        hr = hop_counts(prob, sol, anchors)
+        cls = prob.flow_class_slices()
+        delivered = np.bincount(prob.dl_access[:, 0], weights=sol.x[cls["dl_access"]],
+                                minlength=prob.n_bs) * sol.scale_bps
+        unmet = np.where(anchors.y, 0.0, delivered) - hr.peeled_bps
+        assert 1e-10 < unmet.max() / delivered.sum() < 1e-8
+        assert np.isfinite(hr.hops[hr.peeled_bps > 0]).all()
+
     def test_anchor_mass_and_conservation_on_real_solve(self):
         topo = generate_grid(2, 2, 200.0, 24, seed=6)
         links = build_link_table(synthetic_gains(topo))

@@ -9,6 +9,7 @@ from iabplan import (AnchorSet, ConfigError, InfeasibleProblemError, Variant,
                      assemble, build_link_table, generate_grid, make_scenario,
                      select_anchors, solve, strictly_feasible_point,
                      synthetic_gains, validate)
+from iabplan.solver import _NewtonSystem
 from iabplan.testkit import (analytic_single_instance, links_from_caps,
                              random_tiny_instance)
 
@@ -187,6 +188,27 @@ class TestAssembledMatrices:
                                        in zip(sizes, ends[:-1], ends[1:])}, variant
             assert np.array_equal(prob.h, np.repeat([0.0, 1.0, prob.fiber_norm, 0.0],
                                                     list(sizes.values()))), variant
+
+    @pytest.mark.parametrize("grid", STRUCTURE_GRIDS, ids=lambda g: "x".join(map(str, g)))
+    def test_slack_operators_are_the_products(self, grid):
+        # the solver builds M_y = [-G; U] T and R_y = [U; G_c; A] T straight
+        # from the CSR arrays; they hold exactly the entries of SciPy's
+        # products, where the capacity rows' t entries cancel to nothing
+        for variant, prob in grid_problems(*grid):
+            nf, n, rs = prob.n_flow, prob.n_var, prob.row_slices
+            k, j = np.arange(nf), np.arange(nf, n)
+            T = sp.csr_matrix((np.r_[-np.ones(nf), prob.cap, np.ones(n - nf)],
+                               (np.r_[k, k, j], np.r_[k, nf + k, j])), shape=(n, n))
+            sl_c = slice(rs["resource"].start, rs["fiber"].stop)
+            newton = _NewtonSystem(prob)
+            for name, got, ref in (("M_y", newton.M_y, sp.vstack([-prob.G, prob.U_mat]) @ T),
+                                   ("R_y", newton.R_y,
+                                    sp.vstack([prob.U_mat, prob.G[sl_c], prob.A]) @ T)):
+                got, ref = got.sorted_indices(), ref.sorted_indices()
+                assert got.shape == ref.shape, (variant, name)
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, field), getattr(ref, field)), \
+                        (variant, name, field)
 
 
 class TestConservationRank:

@@ -384,7 +384,9 @@ class TestNewtonStep:
         prob = random_tiny_instance(seed)
         s, r, grad = newton_inputs(prob, tau)
         lam = multipliers(s, tau, off_path)
-        dx, w = _NewtonSystem(prob).solve(s, r, lam, grad)
+        T = slack_map(prob)
+        dy, w = _NewtonSystem(prob).solve(lam / s, r, -(T.T @ grad))
+        dx = T @ dy
         ref = dense_step(prob, s, r, lam, grad)
         n = prob.n_var
         assert np.linalg.norm(dx - ref[:n]) <= 1e-8 * np.linalg.norm(ref[:n])
@@ -399,7 +401,9 @@ class TestNewtonStep:
         prob = random_tiny_instance(seed)
         s, r, grad = newton_inputs(prob, tau)
         lam = multipliers(s, tau, off_path)
-        dx, w = _NewtonSystem(prob).solve(s, r, lam, grad, full=False)
+        T = slack_map(prob)
+        dy, w = _NewtonSystem(prob).solve(lam / s, r, -(T.T @ grad), full=False)
+        dx = T @ dy
         ref = dense_step(prob, s, r, lam, grad)
         n = prob.n_var
         assert np.linalg.norm(dx - ref[:n]) <= 7.5e-12 * np.linalg.norm(ref[:n])
@@ -423,16 +427,23 @@ def newton_inputs(prob, tau):
     return s, r, grad
 
 
-def slack_system(prob, s, r, lam):
-    """The augmented system in slack coordinates, built from
-    G, U and A with row weights lam / s: unknowns (dy, z_U, z_c, w) with
-    dx = T dy, f = c t - sigma."""
-    nf, n, rs = prob.n_flow, prob.n_var, prob.row_slices
+def slack_map(prob):
+    """T, with x = T y for the slack coordinates y = (sigma, t, m),
+    f = c t - sigma."""
+    nf, n = prob.n_flow, prob.n_var
     k = np.arange(nf)
     T = sp.identity(n, format="lil")
     T[k, k] = -1.0
     T[k, nf + k] = prob.cap
-    T = T.tocsr()
+    return T.tocsr()
+
+
+def slack_system(prob, s, r, lam):
+    """The augmented system in slack coordinates, built from
+    G, U and A with row weights lam / s: unknowns (dy, z_U, z_c, w) with
+    dx = T dy, f = c t - sigma."""
+    rs = prob.row_slices
+    T = slack_map(prob)
     barrier = np.r_[np.arange(rs["flow_capacity"].start, rs["flow_capacity"].stop),
                     np.arange(rs["nonneg"].start, rs["nonneg"].stop)]
     Gb = prob.G[barrier] @ T
@@ -471,12 +482,11 @@ class TestRegularizedNewtonSystem:
         prob = random_tiny_instance(seed)
         s, r, grad = newton_inputs(prob, tau)
         lam = multipliers(s, tau, off_path)
-        dx, w = _NewtonSystem(prob).solve(s, r, lam, grad)
-
         K, T, sl_c = slack_system(prob, s, r, lam)
-        nf = prob.n_flow
-        sol = np.r_[prob.cap * dx[nf:2 * nf] - dx[:nf], dx[nf:],
-                    (prob.U_mat @ dx) / r ** 2,
+        dy, w = _NewtonSystem(prob).solve(lam / s, r, -(T.T @ grad))
+
+        dx = T @ dy
+        sol = np.r_[dy, (prob.U_mat @ dx) / r ** 2,
                     (prob.G[sl_c] @ dx) * (lam / s)[sl_c], w]
         rhs = np.r_[-(T.T @ grad), np.zeros(K.shape[0] - prob.n_var)]
         error = np.abs(K @ sol - rhs) / (abs(K) @ np.abs(sol) + np.abs(rhs))
@@ -513,7 +523,7 @@ class TestRegularizedNewtonSystem:
             return original(n, ap, **kw)
 
         monkeypatch.setattr(solver, "dpptrf", dpptrf)
-        _NewtonSystem(prob).solve(s, r, lam, rng.standard_normal(n), full=False)
+        _NewtonSystem(prob).solve(lam / s, r, rng.standard_normal(n), full=False)
         k = n + 2 * prob.n_included              # sigma, (t, m) and the rate rows
         ref = -(K[k:, k:] - K[k:, :k] @ np.linalg.solve(K[:k, :k], K[:k, k:]))
         np.testing.assert_allclose(blocks.pop(), np.tril(ref), rtol=1e-12,
@@ -525,7 +535,7 @@ class TestRegularizedNewtonSystem:
         gc.disable()
         try:
             newton = _NewtonSystem(prob)
-            newton.solve(s, r, 1.0 / s, grad)
+            newton.solve(1.0 / s / s, r, grad)
             ref = weakref.ref(newton)
             del newton
             assert ref() is None

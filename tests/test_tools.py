@@ -1,7 +1,9 @@
-"""The gain rule of tools/pairs.py, on fixed numbers, and the summary line
-of tools/ladder.py on one small instance."""
+"""The gain rule of tools/pairs.py, on fixed numbers, the summary line of
+tools/ladder.py on one small instance, and its check against expected
+lines on fixed ones."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,39 @@ def test_ladder_summary_line():
     assert again["gm_rel_diff_max"] == 0.0 and again["gm_compared"] == 5
     assert again["gm_digest"] == line["gm_digest"]
     assert again["hop_digest"] == line["hop_digest"]
+
+
+LINE = {"set": "small", "solves": 225, "certified": 225, "newton_steps": 4788,
+        "worst_stationarity": 1.2e-11, "gm_digest": "82d5c232585d1c90", "seconds": 1.4}
+
+
+def test_expected_line_matches_but_for_timing_and_reference():
+    line = dict(LINE, seconds=9.9, gm_rel_diff_max=1e-15, gm_compared=225)
+    assert ladder.differences(line, LINE) == []
+
+
+def test_expected_line_names_set_and_key():
+    line = dict(LINE, gm_digest="0000000000000000", newton_steps=4789)
+    assert ladder.differences(line, LINE) == [
+        "small: gm_digest is '0000000000000000', expected '82d5c232585d1c90'",
+        "small: newton_steps is 4789, expected 4788"]
+
+
+def test_expected_line_missing_or_extra_key_differs():
+    extra = dict(LINE, lam_min=2e-9)
+    assert ladder.differences(extra, LINE) == ["small: lam_min is 2e-09, expected None"]
+    assert ladder.differences(LINE, extra) == ["small: lam_min is None, expected 2e-09"]
+    assert len(ladder.differences(LINE, {})) == len(LINE) - 1     # all but seconds
+
+
+def test_expect_exits_one_on_a_difference(tmp_path, monkeypatch, capsys):
+    expected = tmp_path / "expected.json"
+    expected.write_text(json.dumps({"one": dict(LINE, set="one")}))
+    monkeypatch.setitem(ladder.SETS, "one", [])
+    monkeypatch.setattr(ladder, "summarize",
+                        lambda name, instances, reference: (dict(LINE, set=name), {}))
+    assert ladder.main(["--sets", "one", "--expect", str(expected)]) == 0
+    monkeypatch.setattr(ladder, "summarize",
+                        lambda name, instances, reference: (dict(LINE, set=name, solves=5), {}))
+    assert ladder.main(["--sets", "one", "--expect", str(expected)]) == 1
+    assert "ladder: one: solves is 5, expected 225" in capsys.readouterr().err

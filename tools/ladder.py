@@ -1,6 +1,7 @@
 """Solve a fixed ladder of grid instances and summarize each set in one line.
 
     python3 tools/ladder.py [--sets small mid city] [--gms OUT.json] [--against REF.json]
+                            [--expect tools/ladder_expected.json]
 
 Run from the root of a source checkout; iabplan is imported from `src/`.
 Every instance is built as `iabplan run` builds it and solved for all five
@@ -28,9 +29,15 @@ Each set prints one JSON line:
                              (its resource, fiber and conservation rows)
 
 `--gms` writes every GM to a JSON file, and `--against` adds the largest
-relative GM difference from such a file.  The solver uses no threaded BLAS
-kernel, so every line but `seconds` is the same at any BLAS thread count.
-The ladder is tooling, not a test.
+relative GM difference from such a file (`gm_rel_diff_max`, over
+`gm_compared` GMs).  `--expect` checks each printed line against the
+file's line for its set, a JSON object of lines by set name: any key that
+differs but `seconds` and `--against`'s two makes the run exit 1, naming
+the set and the key.  `tools/ladder_expected.json` holds the lines of the
+current solver; a change that moves them on purpose rewrites it from the
+new printed lines and says why.  The solver uses no threaded BLAS kernel,
+so every line but `seconds` is the same at any BLAS thread count under one
+BLAS build.  The ladder is tooling, not a test.
 """
 
 from __future__ import annotations
@@ -136,20 +143,39 @@ def summarize(name, instances, reference):
     return line, gms
 
 
+# keys that say how a run went rather than what it answered
+UNCHECKED = ("seconds", "gm_rel_diff_max", "gm_compared")
+
+
+def differences(line: dict, expected: dict) -> list:
+    """'set: key is X, expected Y' for every key of a summary line, or of
+    its expected line, that differs, but those in UNCHECKED."""
+    keys = sorted((set(line) | set(expected)) - set(UNCHECKED))
+    return [f"{line.get('set')}: {key} is {line.get(key)!r}, expected {expected.get(key)!r}"
+            for key in keys if line.get(key) != expected.get(key)]
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--sets", nargs="+", choices=tuple(SETS), default=list(SETS))
     p.add_argument("--gms", type=Path, help="write every GM (bps) to this JSON file")
     p.add_argument("--against", type=Path, help="a --gms file to compare GMs with")
+    p.add_argument("--expect", type=Path,
+                   help="exit 1 unless each line matches this file's line for its set")
     args = p.parse_args(argv)
     reference = json.loads(args.against.read_text()) if args.against else None
-    all_gms = {}
+    expected = json.loads(args.expect.read_text()) if args.expect else None
+    all_gms, failed = {}, []
     for name in args.sets:
         line, all_gms[name] = summarize(name, SETS[name], reference)
         print(json.dumps(line), flush=True)
+        if expected is not None:
+            failed += differences(json.loads(json.dumps(line)), expected.get(name, {}))
     if args.gms:
         args.gms.write_text(json.dumps(all_gms, indent=1, sort_keys=True) + "\n")
-    return 0
+    for message in failed:
+        print(f"ladder: {message}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
