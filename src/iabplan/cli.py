@@ -20,8 +20,7 @@ from pathlib import Path
 from . import __version__
 from .artifacts import write_csv, write_json
 from .connectivity import Variant, make_scenario
-from .errors import (ConfigError, ConvergenceError, IabPlanError,
-                     InfeasibleProblemError, IngestionError)
+from .errors import ConfigError, ConvergenceError, IabPlanError, InfeasibleProblemError
 from .geometry import Topology, generate_grid, select_anchors
 from .linkbudget import BudgetConfig, build_link_table, load_gains_csv, synthetic_gains
 from .metrics import (compare_table, fiber_sweep, make_report, sweep_summary,
@@ -204,11 +203,11 @@ def cmd_sweep(cfg: dict, k_list: list[int]) -> int:
     if cfg["anchor_list"] is not None:
         raise ConfigError("anchor_list fixes the anchors; a sweep varies k")
     topo, links = _build_links(cfg)
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     _, header = provenance(cfg)
     rows = fiber_sweep(topo, links, cfg["scenarios"], k_list, [cfg["seed"]],
                        policy=cfg["anchor_policy"], solver_cfg=_solver_from(cfg))
+    out = Path(cfg["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     sweep_to_csv(rows, out / "sweep.csv", header_meta=header)
     summary = sweep_summary(rows)
     (out / "sweep_summary.txt").write_text(summary + "\n")
@@ -343,12 +342,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad --k-list: {exc}") from exc
             return cmd_sweep(cfg, k_list)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, IngestionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return cmd_verify(cfg)
     except InfeasibleProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -20,8 +20,11 @@ nonempty interior whenever any UE is servable.  UEs that end up with no
 usable uplink or downlink are excluded from the objective and reported
 (`excluded`), with reason "no_link" or "starved".
 
-Every constraint family is one sparse construction over per-flow endpoint
-arrays (`tail`, `head`, -1 at a UE end).  The conservation rows are the
+The rate rows U, the resource and fiber rows G_c and the conservation rows
+A make up R = [U; G_c; A], and every variable sits in at most two of its
+rows, as an arc of a node-arc incidence matrix does.  `assemble` writes R
+once, by column, from each flow's BS ends; `U_mat`, `G` and `A` are grouped
+from it on first use, and the solver reads it.  The conservation rows are the
 node-arc incidence matrix of each direction's backhaul digraph, with the
 UE ends of access flows and the fiber variables as a deleted "ground" node,
 and they have full row rank, so no row needs dropping.  A vector y with
@@ -66,15 +69,55 @@ class RateProblem:
     cap: np.ndarray          # (nf,) normalized link capacities
     scale_bps: float         # bps per normalized flow unit
     fiber_norm: float        # normalized fiber pipe capacity
-    G: sp.csr_matrix         # inequality lhs, G x <= h
-    h: np.ndarray
-    A: sp.csr_matrix         # equality lhs (full row rank), A x = 0
+    # R = [U_mat; G_c; A] by column, G_c being G's resource and fiber rows:
+    # each variable's rows, ascending and -1 past the last, and its entries
+    R_row: np.ndarray        # (n, 2)
+    R_val: np.ndarray        # (n, 2)
+    h: np.ndarray            # rhs of G x <= h
     eq_ul: np.ndarray        # bool per kept equality row: an uplink row
-    U_mat: sp.csr_matrix     # (2 N', n) rate aggregation; rows: UL block, DL block
     ue_ids: np.ndarray       # (N',) included UE ids
     excluded: dict           # ue id -> "no_link" | "starved"
     start: np.ndarray        # strictly feasible point, read by strictly_feasible_point
     row_slices: dict = field(default_factory=dict)  # G row family -> slice
+
+    @property
+    def r_blocks(self) -> tuple:
+        """The row counts of U_mat, G_c and A in R."""
+        rs = self.row_slices
+        return 2 * self.n_included, rs["fiber"].stop - rs["resource"].start, self.eq_ul.size
+
+    @cached_property
+    def _r_csr(self) -> list:
+        """CSR arrays (indptr, indices, data) of U_mat, G_c and A, grouped
+        from R's column table by one stable sort, so each row lists its
+        columns in order; the table's -1 slots sort into a last row that no
+        view reads."""
+        o = np.cumsum([0, *self.r_blocks])
+        row = np.where(self.R_row < 0, o[-1], self.R_row).ravel()
+        ptr, ind, dat = sorted_rows(row, o[-1] + 1, np.arange(row.size) >> 1, self.R_val.ravel())
+        return [(ptr[lo:hi + 1], ind, dat) for lo, hi in zip(o[:-1], o[1:])]
+
+    @cached_property
+    def U_mat(self) -> sp.csr_matrix:
+        """(2 N', n) rate aggregation; rows: UL block, DL block."""
+        return csr(*self._r_csr[0], self.n_var)
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        """Equality lhs (full row rank), A x = 0."""
+        return csr(*self._r_csr[2], self.n_var)
+
+    @cached_property
+    def G(self) -> sp.csr_matrix:
+        """Inequality lhs, G x <= h: the capacity rows f_k - c_k t_k, G_c and
+        the nonnegativity rows -x."""
+        ptr, ind, dat = self._r_csr[1]
+        nf, j, lo, hi = self.n_flow, np.arange(self.n_var), ptr[0], ptr[-1]
+        k = j[:nf]
+        return csr(np.concatenate([2 * k, 2 * nf - lo + ptr, 2 * nf - lo + hi + 1 + j]),
+                   np.concatenate([np.stack([k, nf + k], axis=1).ravel(), ind[lo:hi], j]),
+                   np.concatenate([np.stack([np.ones(nf), -self.cap], axis=1).ravel(),
+                                   dat[lo:hi], -np.ones(j.size)]), j.size)
 
     @cached_property
     def transposes(self) -> tuple:
@@ -173,17 +216,6 @@ class RateProblem:
                 fh.write(f"ue{ue}: {ul} / {dl}\n")
 
 
-def stack_rows(blocks) -> tuple:
-    """CSR arrays (indptr, indices, data) of row blocks (indptr, indices,
-    data) stacked, an indptr possibly a slice."""
-    ends = np.cumsum([0] + [p[-1] - p[0] for p, _i, _d in blocks])
-    indptr = np.concatenate([[0]] + [p[1:] - p[0] + e for (p, _i, _d), e in zip(blocks, ends)],
-                            dtype=np.intc)      # int32 as in SciPy's own, and no int64 copy
-    indices = np.concatenate([i[p[0]:p[-1]] for p, i, _d in blocks], dtype=np.intc)
-    data = np.concatenate([d[p[0]:p[-1]] for p, _i, d in blocks])
-    return indptr, indices, data
-
-
 def csr(indptr, indices, data, n_col: int) -> sp.csr_matrix:
     """CSR matrix of the rows (indptr, indices, data), an indptr possibly a
     slice, with int32 indices as in SciPy's own."""
@@ -261,10 +293,9 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     dl_access = np.argwhere(dl_ok.T)          # (bs, ue)
     na, nd = ul_access.shape[0], dl_access.shape[0]
 
-    # per-flow BS endpoints in variable order, -1 at a UE end
+    # BS ends in variable order: one per access flow, (tail, head) per backhaul flow
+    acc_bs = np.concatenate([ul_access[:, 1], dl_access[:, 0]])
     bh = np.concatenate([ul_backhaul, dl_backhaul])
-    tail = np.concatenate([np.full(na, -1), dl_access[:, 0], bh[:, 0]])
-    head = np.concatenate([ul_access[:, 1], np.full(nd, -1), bh[:, 1]])
     is_ul = np.repeat([1, 0, 1, 0], [na, nd, ul_backhaul.shape[0], dl_backhaul.shape[0]])
 
     cap_bps = np.concatenate([links.cap_ub[ul_access[:, 0], ul_access[:, 1]],
@@ -282,55 +313,45 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     m_ul = np.repeat([False, True], [m_d.size, m_u.size])
     nm = m_bs.size
     n = 2 * nf + nm
-    k = np.arange(nf)
-    m_col = 2 * nf + np.arange(nm)
 
-    # node-arc incidence, one entry per (flow, BS end): DL rows count
-    # outflow minus inflow and UL rows inflow minus outflow, so a flow
-    # enters with +1 at a DL tail or an UL head and -1 at the other end; a
-    # flow's two ends sit side by side, so each row lists its columns in order
-    end = np.stack([tail, head], axis=1).ravel()
-    at_bs = end >= 0
-    node, col = end[at_bs], np.repeat(k, 2)[at_bs]
-    out = 1.0 - 2 * is_ul
-    sign = np.stack([out, -out], axis=1).ravel()[at_bs]
-
-    # --- inequalities: f - c t <= 0, resource and fiber rows, -x <= 0 -----
-    # rows are built straight into CSR, each listing its columns in order
+    # --- R = [U; G_c; A], by column ----------------------------------------
+    # An access flow enters its UE's rate row and conservation row 2b (DL)
+    # or 2b + 1 (UL) at its BS b, and its time that BS's resource row.  A
+    # backhaul flow enters the conservation rows at both ends, with +1 at a
+    # DL tail or an UL head and -1 at the other end (DL rows count outflow
+    # minus inflow, UL rows inflow minus outflow), and its time the resource
+    # rows at both ends.  A fiber variable enters its anchor's fiber row
+    # and, with -1, its conservation row.
+    con_acc, con_bh = 2 * acc_bs + is_ul[:na + nd], 2 * bh + is_ul[na + nd:, None]
+    m_con = 2 * m_bs + m_ul
+    n_incident = np.bincount(np.concatenate([acc_bs, bh.ravel()]), minlength=B)
+    con_used = np.bincount(np.concatenate([con_acc, con_bh.ravel(), m_con]), minlength=2 * B) > 0
     fiber_bs, fiber_row = np.unique(m_bs, return_inverse=True)
-    res_ptr, res_ind, res_data = sorted_rows(np.concatenate([node, B + fiber_row]),
-                                             B + fiber_bs.size,
-                                             np.concatenate([nf + col, m_col]),
-                                             np.ones(node.size + nm))
-    res_ptr = np.unique(res_ptr)               # drops the rows of BSs with no link
-    n_res, n_fib = res_ptr.size - 1 - fiber_bs.size, fiber_bs.size
-    G = csr(*stack_rows([(2 * np.arange(nf + 1), np.stack([k, nf + k], axis=1).ravel(),
-                          np.stack([np.ones(nf), -cap], axis=1).ravel()),
-                         (res_ptr, res_ind, res_data),
-                         (np.arange(n + 1), np.arange(n), -np.ones(n))]), n)
+    ue_ids = np.flatnonzero(included)
+    n_u, n_res, n_fib = 2 * ue_ids.size, np.count_nonzero(n_incident), fiber_bs.size
+    n_c = n_res + n_fib
+    # B-sized maps onto the kept resource and conservation rows
+    res_of = n_u - 1 + np.cumsum(n_incident > 0)
+    con_of = n_u + n_c - 1 + np.cumsum(con_used)
+    ue_row = (np.searchsorted(ue_ids, np.concatenate([ul_access[:, 0], dl_access[:, 1]]))
+              + np.repeat([0, ue_ids.size], [na, nd]))
+    # rows ascending per column, -1 past the last: a rate row comes first
+    c_bh, r_bh = con_of[con_bh], res_of[bh]
+    lo = np.concatenate([ue_row, c_bh.min(axis=1), res_of[acc_bs], r_bh.min(axis=1),
+                         n_u + n_res + fiber_row])
+    hi = np.concatenate([con_of[con_acc], c_bh.max(axis=1), np.full(na + nd, -1),
+                         r_bh.max(axis=1), con_of[m_con]])
+    out = np.where(c_bh[:, 0] < c_bh[:, 1], 1.0, -1.0) * (1 - 2 * is_ul[na + nd:])
+    one = np.ones(na + nd)
+    R_row = np.stack([lo, hi], axis=1)
+    R_val = np.stack([np.concatenate([one, out, np.ones(nf + nm)]),
+                      np.concatenate([one, -out, np.ones(nf), -np.ones(nm)])], axis=1)
+
+    # --- G x <= h: f - c t <= 0, resource and fiber rows, -x <= 0 ---------
     h = np.concatenate([np.zeros(nf), np.ones(n_res), np.full(n_fib, fiber_norm), np.zeros(n)])
     o = np.cumsum([0, nf, n_res, n_fib, n]).tolist()
-    row_slices = {
-        "flow_capacity": slice(o[0], o[1]),
-        "resource": slice(o[1], o[2]),
-        "fiber": slice(o[2], o[3]),
-        "nonneg": slice(o[3], o[4]),
-    }
-
-    # --- equalities: flow conservation, row 2b (DL) and 2b + 1 (UL) -------
-    a_ptr, a_ind, a_data = sorted_rows(np.concatenate([2 * node + is_ul[col], 2 * m_bs + m_ul]),
-                                       2 * B, np.concatenate([col, m_col]),
-                                       np.concatenate([sign, -np.ones(nm)]))
-    kept = np.flatnonzero(np.diff(a_ptr))         # drop the empty rows through indptr
-    A = csr(np.unique(a_ptr), a_ind, a_data, n)
-
-    # --- objective aggregation --------------------------------------------
-    ue_ids = np.flatnonzero(included)
-    n_inc = ue_ids.size
-    ue_row = np.searchsorted(ue_ids, np.concatenate([ul_access[:, 0], dl_access[:, 1]]))
-    u_ptr, u_ind, u_data = sorted_rows(ue_row + np.repeat([0, n_inc], [na, nd]), 2 * n_inc,
-                                       np.arange(na + nd), np.ones(na + nd))
-    U_mat = csr(u_ptr, u_ind, u_data, n)
+    row_slices = {family: slice(start, stop) for family, start, stop
+                  in zip(("flow_capacity", "resource", "fiber", "nonneg"), o[:-1], o[1:])}
 
     # --- interior point: a unit per variable on an anchor<->UE walk -------
     # The walks follow the reach trees: a node on a walk reaches its ends
@@ -370,8 +391,7 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     m_cnt = 1.0 + np.concatenate([end_d[m_d], end_u[m_u]])
     # times take 0.9 of a uniform share of the busiest incident BS budget,
     # flows half the tightest capacity bound
-    n_incident = np.append(np.bincount(node, minlength=B), 0)    # 0 at a UE end
-    t = 0.9 / np.maximum(n_incident[tail], n_incident[head])
+    t = 0.9 / np.concatenate([n_incident[acc_bs], n_incident[bh].max(axis=1)])
     sigma = min(0.5 * np.min(t * cap / flow),
                 0.45 * fiber_norm / np.bincount(m_bs, weights=m_cnt).max())
     if sigma <= 0:
@@ -383,7 +403,7 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
         ul_access=ul_access, dl_access=dl_access,
         ul_backhaul=ul_backhaul, dl_backhaul=dl_backhaul,
         m_bs=m_bs, m_ul=m_ul, cap=cap, scale_bps=scale, fiber_norm=fiber_norm,
-        G=G, h=h, A=A, eq_ul=kept % 2 == 1, U_mat=U_mat,
+        R_row=R_row, R_val=R_val, h=h, eq_ul=np.flatnonzero(con_used) % 2 == 1,
         ue_ids=ue_ids, excluded=excluded, start=np.concatenate([sigma * flow, t, sigma * m_cnt]),
         row_slices=row_slices,
     )

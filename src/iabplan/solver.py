@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg.lapack import dpptrf, dpptrs
 
 from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
-from .problem import RateProblem, csr, sorted_rows, stack_rows, validate
+from .problem import RateProblem, csr, sorted_rows, validate
 
 _TAU0 = 1.0
 _BARRIER_INCREASE = 100.0  # tau multiplier per centering (docs: Barrier schedule)
@@ -140,10 +140,10 @@ class _NewtonSystem:
     step (ds, dr) of the slacks and rates: a capacity row of -G T is
     sigma_k alone, so that slack's step is dsigma itself, and the
     nonnegativity rows are T.  The system multiplies by R_y = R T.  Both
-    are built once per solve from the CSR arrays, an entry v in column f_k
-    becoming -v at sigma_k and c_k v at t_k; x-coordinate M and R are not
-    built.  The barrier rows weigh capacity row k by a = lam/s and the
-    nonnegativity rows of f, t and m by d_f, d_t and d_m, so the variable
+    are built once per solve from R's column table on the problem (see
+    `_slack_operators`); x-coordinate M and R are not built.  The barrier
+    rows weigh capacity row k by a = lam/s and the nonnegativity rows of
+    f, t and m by d_f, d_t and d_m, so the variable
     block K is 2x2 per flow, [[a + d_f, -c d_f], [-c d_f, d_t + c^2 d_f]]
     over (sigma_k, t_k), and d_m on m.  With det = a (c^2 d_f + d_t) +
     d_f d_t, a sum of positive terms, K^-1 is two diagonals applied to the
@@ -171,25 +171,20 @@ class _NewtonSystem:
     beta ((R_f e_k)(R_t e_k)' + its transpose) + gamma (R_t e_k)(R_t e_k)',
     with alpha = (c^2 a + d_t) / det, beta = c a / det and gamma = P_tt,
     and gamma = 1/d_m (R_m e_j)(R_m e_j)' per fiber variable.  The entry
-    pairs of those columns are listed once per solve, and each step's
-    block is one bincount of them, of D's diagonal and of the rate-row
-    elimination's pairs.  Relies on assemble's layout: G's rows open with
-    capacity row k, f_k - c_k t_k, and close with nonnegativity row i,
-    -x_i, and the access flows come first, each entering one rate row and
-    one conservation row, its t_k one resource row.  Refinement against
-    the full system removes the elimination's rounding.  See
-    docs/solver_notes.md, "Augmented system" to "Refinement".
+    pairs of those columns are listed once per solve from the table, and
+    each step's block is one bincount of them, of D's diagonal and of the
+    rate-row elimination's pairs.  Refinement against the full system
+    removes the elimination's rounding.  See docs/solver_notes.md,
+    "Augmented system" to "Refinement".
     """
 
     def __init__(self, problem: RateProblem):
         nf, n, rs = problem.n_flow, problem.n_var, problem.row_slices
-        U, A = problem.U_mat, problem.A
-        self.problem = problem
-        self.sl_c = sl_c = slice(rs["resource"].start, rs["fiber"].stop)
-        n_u, n_c = U.shape[0], sl_c.stop - sl_c.start
-        self.n_u, self.n_eq = n_u, A.shape[0]
-        self.n_b = n_b = n_c + self.n_eq            # resource, fiber and conservation rows
-        self.M_y, self.R_y, (c_ptr, c_row, c_dat) = _slack_operators(problem, sl_c)
+        n_u, n_c, n_eq = problem.r_blocks
+        self.problem, self.n_u, self.n_eq = problem, n_u, n_eq
+        self.sl_c = slice(rs["resource"].start, rs["fiber"].stop)
+        self.n_b = n_b = n_c + n_eq                 # resource, fiber and conservation rows
+        self.M_y, self.R_y = _slack_operators(problem)
         self.M_yt, self.R_yt = self.M_y.T, self.R_y.T     # CSC views
 
         # per-solve buffers, rewritten each step: the weights (alpha, beta,
@@ -205,16 +200,19 @@ class _NewtonSystem:
         swap[nf:2 * nf] -= nf
 
         # the column pairs of R whose entries meet in W's lower triangle or
-        # on the rate rows, by the index in the buffer of their weight:
-        # f_k with itself (alpha_k at k) and with t_k (beta_k at nf + k),
-        # and every t and m column j with itself (gamma at 2 nf + j).  t_k
-        # with f_k would pair a resource row with a later row of R
-        j = np.arange(nf, n)
-        b = np.concatenate([np.arange(2 * nf), j])
-        w = np.concatenate([np.arange(2 * nf), 2 * nf + j])
-        p, q, g = _pairs(c_ptr, np.concatenate([np.arange(nf), np.arange(n)]), b)
-        rp, rq = c_row[p], c_row[q]
-        coef, w = c_dat[p] * c_dat[q], w[g]
+        # on the rate rows, each column's (at most two) entries by R's
+        # column table, with the index in the buffer of their weight: f_k
+        # with itself (alpha_k at k) and with t_k (beta_k at nf + k), and
+        # every t and m column j with itself (gamma at 2 nf + j).  t_k with
+        # f_k would pair a resource row with a later row of R
+        a = np.concatenate([np.arange(nf), np.arange(n)])
+        b = np.concatenate([np.arange(2 * nf), np.arange(nf, n)])
+        w = np.concatenate([np.arange(2 * nf), np.arange(3 * nf, 2 * nf + n)])
+        row, val = problem.R_row, problem.R_val
+        rp, rq = row[a][:, [0, 0, 1, 1]].ravel(), row[b][:, [0, 1, 0, 1]].ravel()
+        at = (rp >= 0) & (rq >= 0)
+        rp, rq, w = rp[at], rq[at], np.repeat(w, 4)[at]
+        coef = (val[a][:, [0, 0, 1, 1]] * val[b][:, [0, 1, 0, 1]]).ravel()[at]
         to_b, from_u = rq >= n_u, rp < n_u
         lower = to_b & (rp >= rq)                   # the lower triangle of the BS rows
         own = from_u & ~to_b                        # a rate row's own diagonal
@@ -316,49 +314,35 @@ class _NewtonSystem:
         return dy, z[-self.n_eq:]
 
 
-def _slack_operators(problem: RateProblem, sl_c: slice):
-    """M_y = [-G; U] T and R_y = [U; G_c; A] T as CSR matrices, and the CSC
-    arrays (indptr, row, data) of R = [U; G_c; A], which only the listing
-    of the dense block's pairs reads, all from the CSR arrays of G, U and
-    A.  G_c is G's rows sl_c."""
+def _slack_operators(problem: RateProblem):
+    """M_y = [-G; U] T and R_y = R T, R = [U; G_c; A], as CSR matrices,
+    grouped from R's column table by one stable sort.  Both are runs of the
+    rows of S T, S = [-G_c; I; U; G_c; A], after the capacity slacks' own
+    rows: -G opens with the capacity rows, whose S T row is sigma_k alone,
+    and closes with -(-I), whose rows times T are the step of the
+    nonnegativity slacks, which are x.  So M_y = [sigma; -G_c T; T; U T] is
+    the run up to U T, and R_y the run from U T on.  The entries are listed
+    by x column, so each row keeps its columns in x's order: an f_k column
+    holds its identity row and two rows of R, and T turns each entry v into
+    -v at sigma_k and then c_k v at t_k; a t or m column is in y already
+    and adds its G_c rows negated."""
     nf, n, c = problem.n_flow, problem.n_var, problem.cap
-    G, U, A = problem.G, problem.U_mat, problem.A
-    g_c = (G.indptr[sl_c.start:sl_c.stop + 1], G.indices, G.data)
-    # the capacity slacks' own rows, then x's rows [-G_c; I; U; G_c; A]
-    # (-G closes with -G_c and -(-I)): times T they are M_y = [sigma; -G_c;
-    # T; U T] followed by [G_c; A T], as I T = T is the step of the
-    # nonnegativity slacks, which are x, and R_y = [U T; G_c; A T] is the
-    # run from U T on
-    ptr, ind, dat = stack_rows([(np.arange(nf + 1), np.arange(nf), np.ones(nf)),
-                                (G.indptr[sl_c.start:], G.indices, -G.data),
-                                (U.indptr, U.indices, U.data), g_c,
-                                (A.indptr, A.indices, A.data)])
-    y = _times_t(ptr, ind, dat, c, nf)
-    r_start = nf + sl_c.stop - sl_c.start + n   # the rows of R, and of R_y
-    r0 = ptr[r_start]
-    return (csr(y[0][:r_start + U.shape[0] + 1], *y[1:], n), csr(y[0][r_start:], *y[1:], n),
-            sorted_rows(ind[r0:], n, np.repeat(np.arange(ptr.size - 1 - r_start),
-                                               np.diff(ptr[r_start:])), dat[r0:]))
-
-
-def _times_t(indptr, indices, data, cap, start):
-    """CSR arrays of rows (indptr, indices, data) times T, which maps
-    y = (sigma, t, m) to x = (c t - sigma, t, m), the entries before
-    `start` being in y already: an entry v in column f_k becomes -v in
-    column sigma_k = k and c_k v in column t_k = nf + k, side by side.  Rows
-    holding f_k and t_k would cancel; none is passed here."""
-    nf = cap.size
-    f = indices < nf
-    f[:start] = False
-    at_f = np.flatnonzero(f)
-    second = at_f + np.arange(1, at_f.size + 1)     # where each c_k v goes
-    reps = f + 1
-    out_ind, out_dat = np.repeat(indices, reps), np.repeat(data, reps)
-    k = indices[at_f]
-    out_ind[second] = k + nf
-    out_dat[second - 1] = -data[at_f]
-    out_dat[second] *= cap[k]
-    return indptr + np.concatenate([[0], np.cumsum(f)])[indptr], out_ind, out_dat
+    n_u, n_c, n_eq = problem.r_blocks
+    row, val = problem.R_row, problem.R_val
+    k, j = np.arange(nf), np.arange(nf, n)
+    r0 = nf + n_c + n                           # the first row of R in S T
+    f_row = np.column_stack([nf + n_c + k, r0 + row[:nf]]).ravel()
+    t_val = np.column_stack([-np.ones(nf), c])[:, None, :]         # T's entries in row f_k
+    f_val = (np.column_stack([np.ones(nf), val[:nf]])[:, :, None] * t_val).ravel()
+    x, v = row[nf:], val[nf:]
+    x_row = np.column_stack([np.where((x >= n_u) & (x < n_u + n_c), nf - n_u + x, -1),
+                             nf + n_c + j, np.where(x >= 0, r0 + x, -1)])
+    at = x_row >= 0
+    ptr, ind, dat = sorted_rows(
+        np.concatenate([k, np.repeat(f_row, 2), x_row[at]]), r0 + n_u + n_c + n_eq,
+        np.concatenate([k, np.repeat(k, 6) + np.tile([0, nf], 3 * nf), nf + np.nonzero(at)[0]]),
+        np.concatenate([np.ones(nf), f_val, np.column_stack([-v, np.ones(n - nf), v])[at]]))
+    return csr(ptr[:r0 + n_u + 1], ind, dat, n), csr(ptr[r0:], ind, dat, n)
 
 
 def _pairs(ptr, a, b):

@@ -267,7 +267,7 @@ def test_iteration_cap_is_exit_three(tmp_path, capsys):
 def test_tight_gap_failure_is_exit_three(tmp_path, capsys):
     # a gap of 1e-16 per log-rate term is below the rounding error of the
     # stationarity residual itself, so no double-precision solve certifies
-    # it: this one stops on a singular Newton matrix at tau = 1e12, a typed
+    # it: this one stops on a failed line search at tau = 1e12, a typed
     # failure, and the CLI exits 3, never with a traceback
     cfg = write_config(tmp_path, duality_gap_tol=1e-16, grid_rows=2, grid_cols=3,
                        n_ues=30, seed=4, anchor_k=1, scenarios=["iab_mesh_lb"])
@@ -308,6 +308,15 @@ class TestSweep:
         cfg = write_config(tmp_path, grid_cols=3, anchor_list=[2])
         assert main(["sweep", "--config", str(cfg), "--k-list", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: anchor_list")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["--k-list", "0"],
+                                      ["--k-list", "1", "--anchor-policy", "bogus"]])
+    def test_rejected_input_writes_nothing(self, tmp_path, capsys, args):
+        # the anchor count and policy are checked as the sweep runs
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
     def test_sweep_writes_csv(self, tmp_path):

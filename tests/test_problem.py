@@ -190,6 +190,24 @@ class TestAssembledMatrices:
                                                     list(sizes.values()))), variant
 
     @pytest.mark.parametrize("grid", STRUCTURE_GRIDS, ids=lambda g: "x".join(map(str, g)))
+    def test_column_table_is_R(self, grid):
+        # assemble writes R = [U; G_c; A] once, by column: each variable's
+        # rows, ascending and -1 past the last, and their entries, which must
+        # be its column of the reference R and never more than two
+        for variant, prob in grid_problems(*grid):
+            G, _sizes, A, _kept, U = reference_rows(prob)
+            rs = prob.row_slices
+            R = sp.vstack([U, G[rs["resource"].start:rs["fiber"].stop], A]).tocsc()
+            R.sort_indices()
+            count = np.diff(R.indptr)
+            assert count.max() <= 2, variant
+            assert prob.R_row.shape == prob.R_val.shape == (prob.n_var, 2), variant
+            listed = np.arange(2) < count[:, None]
+            assert np.array_equal(prob.R_row[listed], R.indices), variant
+            assert np.array_equal(prob.R_val[listed], R.data), variant
+            assert np.all(prob.R_row[~listed] == -1), variant
+
+    @pytest.mark.parametrize("grid", STRUCTURE_GRIDS, ids=lambda g: "x".join(map(str, g)))
     def test_slack_operators_are_the_products(self, grid):
         # the solver builds M_y = [-G; U] T and R_y = [U; G_c; A] T straight
         # from the CSR arrays; they hold exactly the entries of SciPy's
