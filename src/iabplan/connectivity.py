@@ -145,36 +145,60 @@ def backhaul_spanning_tree(gains_bb: np.ndarray, anchors: AnchorSet,
     return b
 
 
-def bfs_tree(n: int, edges: np.ndarray, seeds: np.ndarray, reverse: bool = False):
-    """Breadth-first tree from `seeds` (a mask or ids) over n nodes.
+def out_edges(n: int, edges: np.ndarray, reverse: bool = False) -> list:
+    """Each of n nodes' out-edge ids, as lists ordered by far end, then id.
 
-    Walks each row (i, j) of the (E, 2) `edges` from i to j, or from j to i
-    with `reverse`; the rows may come in any order.  Seeds are visited in
-    id order, each node's edges in id order of their far end, so the tree
-    path to a node is its lexicographically least shortest path from a
-    seed, and the discovery order sorts the reached nodes by (depth, that
-    path).
+    Row (i, j) of the (E, 2) `edges` leaves i for j, or j for i with
+    `reverse`; the rows may come in any order.
+    """
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    tail, head = (edges[:, 1], edges[:, 0]) if reverse else edges.T
+    ids = np.lexsort((head, tail)).tolist()
+    start = [0] + np.cumsum(np.bincount(tail, minlength=n)).tolist()
+    return [ids[a:b] for a, b in zip(start, start[1:])]
+
+
+def search(out: list, head: list, seeds: list, pred: list):
+    """Breadth-first search from the nodes set in the mask list `seeds`
+    along the edge lists `out` (as `out_edges` gives them), edge e leading
+    to head[e].
+
+    Yields each reached node as it leaves the queue, before its edges are
+    scanned, and sets pred[w] to the tree edge into each node w it
+    discovers; seeds and unreached nodes keep what pred held.  Seeds enter
+    in id order and each node scans its list in order, so with lists by
+    far end the tree path to a node is its lexicographically least shortest
+    path from a seed, and nodes leave the queue sorted by (depth, that
+    path).  The caller owns `out`: it may end the search by leaving the
+    loop and change the lists before the next one.
+    """
+    seen = list(seeds)
+    queue = [v for v in range(len(seen)) if seen[v]]
+    for v in queue:              # the list grows into the queue as it is read
+        yield v
+        for e in out[v]:
+            w = head[e]
+            if not seen[w]:
+                seen[w], pred[w] = True, e
+                queue.append(w)
+
+
+def bfs_tree(n: int, edges: np.ndarray, seeds: np.ndarray, reverse: bool = False):
+    """Breadth-first tree from `seeds` (a mask or ids) over n nodes, by
+    `search` over `out_edges(n, edges, reverse)`, so in `search`'s order:
+    tree paths are lexicographically least shortest, whatever the order of
+    the rows of `edges`.
 
     Returns (pred, order): pred[v] indexes the tree edge into v (-1 at a
     seed or an unreached node), and order lists the reached nodes in
     discovery order, seeds first.
     """
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    tail, head = (edges[:, 1], edges[:, 0]) if reverse else edges.T
-    by_tail = np.lexsort((head, tail))
-    start = [0] + np.cumsum(np.bincount(tail, minlength=n)).tolist()
-    heads, ids = head[by_tail].tolist(), by_tail.tolist()
-    seen = np.zeros(n, dtype=bool)
-    seen[seeds] = True
-    order, seen = np.flatnonzero(seen).tolist(), seen.tolist()
+    mask = np.zeros(n, dtype=bool)
+    mask[seeds] = True
     pred = [-1] * n
-    for v in order:              # the list grows into the queue as it is read
-        for k in range(start[v], start[v + 1]):
-            w = heads[k]
-            if not seen[w]:
-                seen[w] = True
-                pred[w] = ids[k]
-                order.append(w)
+    order = list(search(out_edges(n, edges, reverse), edges[:, 0 if reverse else 1].tolist(),
+                        mask.tolist(), pred))
     return np.array(pred, dtype=np.intp), np.array(order, dtype=np.intp)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .connectivity import Variant, make_scenario
+from .connectivity import Variant, make_scenario, out_edges, search
 from .errors import DecompositionError, MetricsError
 from .geometry import AnchorSet, Topology, select_anchors
 from .linkbudget import LinkTable
@@ -37,8 +37,18 @@ class RateReport:
                    (self.r_dl_bps / 1e6).tolist()])
 
 
+def _check_anchors(problem: RateProblem, anchors: AnchorSet) -> None:
+    """Raise MetricsError unless `anchors` is the set `problem` was
+    assembled with."""
+    if not np.array_equal(anchors.y, problem.anchors_y):
+        raise MetricsError(
+            f"anchor set {np.flatnonzero(anchors.y).tolist()} is not the problem's "
+            f"{np.flatnonzero(problem.anchors_y).tolist()}")
+
+
 def make_report(solution: Solution, problem: RateProblem, scenario: str,
                 anchors: AnchorSet) -> RateReport:
+    _check_anchors(problem, anchors)
     return RateReport(
         scenario=scenario, anchor_count=anchors.k,
         ue_ids=solution.ue_ids.copy(),
@@ -117,15 +127,15 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
     Iterative shortest-path peeling on the positive-flow subgraph: while any
     non-anchor BS still has unmet delivered demand, peel the globally
     shortest (then lexicographically least) anchor-to-demand path at the
-    bottleneck rate.  Each round is one queue search from the anchors over
-    the edges with flow left, seeds in id order and each node's edges in id
-    order of their head, as `bfs_tree` searches: the path to each node is
-    its lexicographically least shortest one, and nodes leave the queue
-    sorted by (depth, path).  Each node with demand left is peeled as it
-    leaves the queue, and the round ends at the first peel that empties an
-    edge, the only change that can alter the search.  Each BS's hop count
-    is the rate-weighted mean hop count of the paths that end there;
-    anchors are exactly 0.
+    bottleneck rate.  Each round is one `connectivity.search` from the
+    anchors over the out-edge lists of the edges with flow left, whose
+    order gives those paths.  Each node with demand left is peeled as the
+    search yields it, and the round ends at the first peel that empties an
+    edge, the only change that can alter the search: the emptied edges
+    leave the lists and the next round searches afresh.  Each BS's hop
+    count is the rate-weighted mean hop count of the paths that end there;
+    anchors are exactly 0.  `anchors` must be the set `problem` was
+    assembled with, or MetricsError is raised.
 
     Interior-point solutions leave small circulating flows on links the
     optimum does not use; a balanced leftover field is harmless and only
@@ -136,6 +146,7 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
     `residual_tol` of the backhaul or delivered total means the input
     violates flow conservation, which raises a DecompositionError.
     """
+    _check_anchors(problem, anchors)
     B = problem.n_bs
     cls = problem.flow_class_slices()
     edges = problem.dl_backhaul
@@ -152,16 +163,12 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
     rest, weighted, peeled = flow.tolist(), [0.0] * B, [0.0] * B
 
     tail, head = edges[:, 0].tolist(), edges[:, 1].tolist()
-    live = [f > eps for f in rest]
-    out = [[] for _ in range(B)]
-    for e in np.lexsort((edges[:, 1], edges[:, 0])).tolist():   # by (tail, head, id)
-        out[tail[e]].append(e)
-    seeds = np.flatnonzero(anchors.y).tolist()
+    out = [[e for e in es if rest[e] > eps] for es in out_edges(B, edges)]
+    # a seed's pred stays -1; a round rewrites pred on every other node it reaches
+    seeds, pred = anchors.y.tolist(), [-1] * B
 
     while max(demand) > eps:
-        seen, pred = anchors.y.tolist(), [-1] * B
-        queue = list(seeds)
-        for v in queue:              # the list grows into the queue as it is read
+        for v in search(out, head, seeds, pred):
             if demand[v] > eps:
                 path, node = [], v
                 while pred[node] >= 0:
@@ -173,17 +180,13 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
                 demand[v] -= q
                 weighted[v] += q * len(path)
                 peeled[v] += q
-                if any(rest[e] <= eps for e in path):
-                    for e in path:
-                        live[e] = rest[e] > eps
+                emptied = [e for e in path if rest[e] <= eps]
+                for e in emptied:
+                    out[tail[e]].remove(e)
+                if emptied:
                     break
-            for e in out[v]:
-                w = head[e]
-                if live[e] and not seen[w]:
-                    seen[w], pred[w] = True, e
-                    queue.append(w)
         else:
-            break                    # no live path left: the unmet demand is checked below
+            break                    # no path of flow left: the unmet demand is checked below
 
     flow, weighted, peeled = np.array(rest), np.array(weighted), np.array(peeled)
     hops = np.full(B, np.nan)

@@ -71,7 +71,7 @@ class RateProblem:
     fiber_norm: float        # normalized fiber pipe capacity
     # R = [U_mat; G_c; A] by column, G_c being G's resource and fiber rows:
     # each variable's rows, ascending and -1 past the last, and its entries
-    R_row: np.ndarray        # (n, 2)
+    R_row: np.ndarray        # (n, 2) int32
     R_val: np.ndarray        # (n, 2)
     h: np.ndarray            # rhs of G x <= h
     eq_ul: np.ndarray        # bool per kept equality row: an uplink row
@@ -343,7 +343,7 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
                          r_bh.max(axis=1), con_of[m_con]])
     out = np.where(c_bh[:, 0] < c_bh[:, 1], 1.0, -1.0) * (1 - 2 * is_ul[na + nd:])
     one = np.ones(na + nd)
-    R_row = np.stack([lo, hi], axis=1)
+    R_row = np.stack([lo, hi], axis=1, dtype=np.int32)
     R_val = np.stack([np.concatenate([one, out, np.ones(nf + nm)]),
                       np.concatenate([one, -out, np.ones(nf), -np.ones(nm)])], axis=1)
 

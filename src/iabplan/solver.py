@@ -208,7 +208,9 @@ class _NewtonSystem:
         a = np.concatenate([np.arange(nf), np.arange(n)])
         b = np.concatenate([np.arange(2 * nf), np.arange(nf, n)])
         w = np.concatenate([np.arange(2 * nf), np.arange(3 * nf, 2 * nf + n)])
-        row, val = problem.R_row, problem.R_val
+        # the rows widened to intp: the index arrays built from them are read
+        # at every step, and NumPy would convert int32 ones at every read
+        row, val = problem.R_row.astype(np.intp), problem.R_val
         rp, rq = row[a][:, [0, 0, 1, 1]].ravel(), row[b][:, [0, 1, 0, 1]].ravel()
         at = (rp >= 0) & (rq >= 0)
         rp, rq, w = rp[at], rq[at], np.repeat(w, 4)[at]

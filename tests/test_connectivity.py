@@ -1,4 +1,5 @@
 from collections import deque
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from iabplan import (AnchorSet, ConnectivityError, Variant, access_load_balanced,
                      access_signal_strength, backhaul_mesh, backhaul_spanning_tree,
                      build_link_table, generate_grid, make_scenario, synthetic_gains)
-from iabplan.connectivity import bfs_tree, usable_pairs
+from iabplan.connectivity import bfs_tree, out_edges, search, usable_pairs
 from iabplan.testkit import links_from_caps
 
 
@@ -203,6 +204,43 @@ class TestBfsTree:
         assert order_p.tolist() == order.tolist()
         assert ((pred_p >= 0) == (pred >= 0)).all()
         assert (perm[pred_p[pred_p >= 0]] == pred[pred >= 0]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 9), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_search_stopped_early_is_a_prefix(self, n, density, seed, reverse):
+        # a search left after its i-th node has yielded bfs_tree's first i
+        # nodes, and every tree edge it wrote is bfs_tree's
+        adj, seeds = random_digraph(n, density, seed)
+        edges = np.argwhere(adj)
+        pred_full, order = bfs_tree(n, edges, seeds, reverse)
+        out, head = out_edges(n, edges, reverse), edges[:, 0 if reverse else 1].tolist()
+        for i in range(1, order.size + 1):
+            pred = [-1] * n
+            got = list(islice(search(out, head, seeds.tolist(), pred), i))
+            assert got == order[:i].tolist()
+            assert [pred[v] for v in got] == pred_full[got].tolist()
+            assert all(p in (-1, q) for p, q in zip(pred, pred_full.tolist()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 9), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_search_after_deleting_edges(self, n, density, seed, reverse):
+        # edges deleted from the lists between two searches are gone from
+        # the second, which is bfs_tree over the kept rows
+        adj, seeds = random_digraph(n, density, seed)
+        edges = np.argwhere(adj)
+        out, head = out_edges(n, edges, reverse), edges[:, 0 if reverse else 1].tolist()
+        list(search(out, head, seeds.tolist(), [-1] * n))
+        keep = np.random.default_rng(seed).random(edges.shape[0]) < 0.6
+        for e in np.flatnonzero(~keep).tolist():
+            out[edges[e, 1 if reverse else 0]].remove(e)
+        pred = [-1] * n
+        order = list(search(out, head, seeds.tolist(), pred))
+        kept = np.flatnonzero(keep)
+        pred_k, order_k = bfs_tree(n, edges[kept], seeds, reverse)
+        assert order == order_k.tolist()
+        assert pred == [int(kept[p]) if p >= 0 else -1 for p in pred_k.tolist()]
 
 
 class TestSpanningTree:

@@ -184,6 +184,23 @@ class TestHopCounts:
                         gm_bps=prob.gm_bps(x), objective_log=prob.objective_log(x),
                         scale_bps=prob.scale_bps, lam=np.zeros(0), nu=np.zeros(0))
 
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_anchor_set_must_be_the_problems(self, k):
+        # with greedy sets of 6 or 8 anchors, this k=7 problem's hop counts
+        # were wrong (k=8) or blamed the flow (k=6), and its rate report
+        # took their anchor count
+        prob, anchors = self.grid("iab_mesh_lb")
+        sol = self.recorded(prob, "iab_mesh_lb")
+        topo = generate_grid(3, 6, 200.0, 60, 1)
+        links = build_link_table(synthetic_gains(topo))
+        other = select_anchors(topo, k, "greedy-coverage", links=links, seed=1)
+        with pytest.raises(MetricsError, match="is not the problem's"):
+            hop_counts(prob, sol, other)
+        with pytest.raises(MetricsError, match="is not the problem's"):
+            make_report(sol, prob, "iab_mesh_lb", other)
+        assert make_report(sol, prob, "iab_mesh_lb", anchors).anchor_count == 7
+        assert hop_counts(prob, sol, anchors).residual_rel < 1e-3
+
     @pytest.mark.parametrize("variant", sorted(GOLDEN))
     def test_golden_on_grid(self, variant):
         prob, anchors = self.grid(variant)

@@ -209,9 +209,9 @@ class TestAssembledMatrices:
 
     @pytest.mark.parametrize("grid", STRUCTURE_GRIDS, ids=lambda g: "x".join(map(str, g)))
     def test_slack_operators_are_the_products(self, grid):
-        # the solver builds M_y = [-G; U] T and R_y = [U; G_c; A] T straight
-        # from the CSR arrays; they hold exactly the entries of SciPy's
-        # products, where the capacity rows' t entries cancel to nothing
+        # the solver builds M_y = [-G; U] T and R_y = [U; G_c; A] T from R's
+        # column table; they hold exactly the entries of SciPy's products,
+        # where the capacity rows' t entries cancel to nothing
         for variant, prob in grid_problems(*grid):
             nf, n, rs = prob.n_flow, prob.n_var, prob.row_slices
             k, j = np.arange(nf), np.arange(nf, n)

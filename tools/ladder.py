@@ -21,8 +21,9 @@ Each set prints one JSON line:
     comp_gap_over_gap_rel_max  check_kkt's comp_gap_rel over gap_rel, largest
     trace_dip_max            the largest relative dip of an objective trace
     gm_digest                the GMs, rounded to 9 significant digits
-    hop_digest               the certified IAB solves' `hop_counts` reports
-                             (`hops` and `peeled_bps`, rounded likewise)
+    hop_digest               the bytes of the certified IAB solves'
+                             `hop_counts` reports (`hops`, `peeled_bps`,
+                             `residual_rel`), in solve order
     start_digest             every start point's bytes, in solve order
     seconds                  wall time to build, solve and count hops
     dense_side_max           the largest dense block the solver factors
@@ -92,7 +93,7 @@ def solves(instances):
 
 def summarize(name, instances, reference):
     # solve returns only certified answers; a failure leaves sol None
-    gms, hop_lines = {}, []
+    gms = {}
     steps, worst_stat, longest, lam_min, gap_ratio, dip = 0, 0.0, 0, np.inf, 0.0, 0.0
     side, original = 0, solver.dpptrf
 
@@ -108,7 +109,7 @@ def summarize(name, instances, reference):
     finally:
         solver.dpptrf = original
     seconds = time.perf_counter() - start
-    start_digest = hashlib.sha256()
+    start_digest, hop_digest = hashlib.sha256(), hashlib.sha256()
     for label, sol, cert, hops, start in results:
         start_digest.update(start.tobytes())
         steps += cert.inner_iters + cert.outer_iters
@@ -123,17 +124,17 @@ def summarize(name, instances, reference):
         gap_ratio = max(gap_ratio, cert.kkt.comp_gap_rel / cert.gap_rel)
         gms[label] = sol.gm_bps
         if hops is not None:
-            hop_lines.append(" ".join([label] + [f"{h:.8e}" for h in
-                                                 np.r_[hops.hops, hops.peeled_bps]]))
+            for a in (hops.hops, hops.peeled_bps, np.float64(hops.residual_rel)):
+                hop_digest.update(a.tobytes())
     digest = hashlib.sha256(
         "\n".join(f"{k} {v:.8e}" for k, v in sorted(gms.items())).encode()).hexdigest()
-    hop_digest = hashlib.sha256("\n".join(sorted(hop_lines)).encode()).hexdigest()
     line = {"set": name, "solves": sum(5 * len(i[4]) for i in instances),
             "certified": len(gms), "newton_steps": steps,
             "worst_stationarity": worst_stat, "largest_inner_iters": longest,
             "lam_min": lam_min, "comp_gap_over_gap_rel_max": gap_ratio,
             "trace_dip_max": dip, "gm_digest": digest[:16],
-            "hop_digest": hop_digest[:16], "start_digest": start_digest.hexdigest()[:16],
+            "hop_digest": hop_digest.hexdigest()[:16],
+            "start_digest": start_digest.hexdigest()[:16],
             "seconds": round(seconds, 2), "dense_side_max": side}
     if reference is not None:
         ref = reference.get(name, {})
