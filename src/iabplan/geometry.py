@@ -12,6 +12,7 @@ never published, so every parameter here is configurable.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,15 +178,23 @@ def generate_grid(rows: int, cols: int, inter_site_m: float, n_ues: int,
     return Topology(rows, cols, d, w, bs_xy, ue_xy, street_segments)
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _validate_manual(manual, n_bs: int) -> np.ndarray:
     if manual is None:
         raise ConfigError("anchor policy manual-list needs an anchor_list")
-    ids = list(manual)
+    try:
+        ids = list(manual)
+    except TypeError:
+        raise ConfigError(f"manual anchor list is not a list of site ids: {manual!r}") from None
     if not ids:
         raise ConfigError("manual anchor list is empty")
     y = np.zeros(n_bs, dtype=bool)
     for site in ids:
-        if not (isinstance(site, (int, np.integer)) and 0 <= site < n_bs):
+        if not (_is_int(site) and 0 <= site < n_bs):
             raise ConfigError(f"manual anchor list references unknown site id {site!r}")
         if y[site]:
             raise ConfigError(f"manual anchor list repeats site id {site}")
@@ -209,8 +218,8 @@ def select_anchors(topology: Topology, k=None, policy: str = "seeded-random", *,
     n = topology.n_bs
     if policy == "manual-list":
         return AnchorSet(_validate_manual(manual, n))
-    if k is None or not (1 <= k <= n):
-        raise ConfigError(f"anchor count k={k!r} out of range 1..{n}")
+    if not (_is_int(k) and 1 <= k <= n):
+        raise ConfigError(f"anchor count k={k!r} is not an integer in 1..{n}")
     if policy == "seeded-random":
         perm = np.random.default_rng(seed).permutation(n)
         y = np.zeros(n, dtype=bool)

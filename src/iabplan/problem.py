@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .connectivity import ConnectivityPattern, bfs_tree
+from .connectivity import ConnectivityPattern, out_edges, search
 from .errors import InfeasibleProblemError
 from .geometry import AnchorSet
 from .linkbudget import LinkTable
@@ -251,55 +251,73 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     y = anchors.y
     if y.shape[0] != B:
         raise InfeasibleProblemError("anchor vector length does not match link table")
+    if pattern.access.shape != (U, B) or pattern.backhaul.shape != (B, B):
+        raise InfeasibleProblemError("connectivity pattern shape does not match link table")
 
-    acc = pattern.access
-    ul_acc_ok = acc & links.exists_ub               # (U, B) candidate u->b
-    dl_acc_ok = acc & links.exists_bu.T             # (U, B) candidate b->u
+    def mask(ids, size):
+        """(size,) bool, set at `ids`."""
+        out = np.zeros(size, dtype=bool)
+        out[ids] = True
+        return out
+
     bh_ok = pattern.backhaul & links.exists_bb      # (B, B)
     np.fill_diagonal(bh_ok, False)
     bh_edges = np.argwhere(bh_ok)                   # (E, 2) rows (i, j), sorted
+    # each BS's edges along bh_edges and against them, and each edge's far end
+    lists = out_edges(B, bh_edges), out_edges(B, bh_edges, reverse=True)
+    heads = bh_edges[:, 1].tolist(), bh_edges[:, 0].tolist()
 
     def reach(seeds, reverse=False):
-        """Mask of the BSs that `seeds` reach along bh_edges (against them
-        with `reverse`), and the `bfs_tree` (pred, order) that reaches them."""
-        pred, order = bfs_tree(B, bh_edges, seeds, reverse)
-        return np.bincount(order, minlength=B) > 0, (pred, order)
+        """Mask of the BSs that the `seeds` mask reaches along bh_edges
+        (against them with `reverse`), and the tree (pred, order) that
+        reaches them, as lists, as `bfs_tree` would give it."""
+        pred = [-1] * B
+        order = list(search(lists[reverse], heads[reverse], seeds.tolist(), pred))
+        return mask(order, B), (pred, order)
 
     dl_reach, dl_tree = reach(y)                 # can receive DL from some anchor
     ul_reach, ul_tree = reach(y, reverse=True)   # can forward UL to some anchor
 
-    ul_ok = ul_acc_ok & ul_reach[None, :]
-    dl_ok = dl_acc_ok & dl_reach[None, :]
-    included = ul_ok.any(axis=1) & dl_ok.any(axis=1)
+    # the pattern's access pairs in (ue, bs) order, by flat index into the
+    # (U, B) uplink tables (ub) and the (B, U) downlink ones (bu)
+    ub = np.flatnonzero(pattern.access)
+    ue, bs = np.divmod(ub, B)
+    bu = bs * U + ue
+    ul_cand, dl_cand = links.exists_ub.ravel()[ub], links.exists_bu.ravel()[bu]
+    ul_ok, dl_ok = ul_cand & ul_reach[bs], dl_cand & dl_reach[bs]
+    included = mask(ue[ul_ok], U) & mask(ue[dl_ok], U)
 
-    had_any = ul_acc_ok.any(axis=1) | dl_acc_ok.any(axis=1)
+    had_any = mask(ue[ul_cand | dl_cand], U)
     excluded = {int(u): "starved" if had_any[u] else "no_link"
                 for u in np.flatnonzero(~included)}
     if not included.any():
         raise InfeasibleProblemError(
             f"no servable UEs: {np.count_nonzero(had_any)} of {U} starved "
             "(attached to sites with no route to fiber)")
-    ul_ok &= included[:, None]
-    dl_ok &= included[:, None]
+    ul_ok &= included[ue]
+    dl_ok &= included[ue]
+    ul_access = np.stack([ue[ul_ok], bs[ul_ok]]).T               # (ue, bs)
+    # (bs, ue) order by a stable sort on bs, keyed as in sorted_rows
+    dl_bs, dl_ue = bs[dl_ok], ue[dl_ok]
+    by_bs = np.argsort(dl_bs.astype(np.min_scalar_type(B)), kind="stable")
+    dl_access = np.stack([dl_bs[by_bs], dl_ue[by_bs]]).T         # (bs, ue)
+    na, nd = ul_access.shape[0], dl_access.shape[0]
 
     # backhaul usability: DL needs an anchor upstream and a UE-serving BS
     # downstream; UL is the mirror image.
-    dl_sinkable, dl_sink_tree = reach(dl_ok.any(axis=0), reverse=True)
-    ul_sourceable, ul_source_tree = reach(ul_ok.any(axis=0))
+    dl_sinkable, dl_sink_tree = reach(mask(dl_access[:, 0], B), reverse=True)
+    ul_sourceable, ul_source_tree = reach(mask(ul_access[:, 1], B))
     i, j = bh_edges.T
     ul_keep, dl_keep = ul_sourceable[i] & ul_reach[j], dl_reach[i] & dl_sinkable[j]
     ul_backhaul, dl_backhaul = bh_edges[ul_keep], bh_edges[dl_keep]
-    ul_access = np.argwhere(ul_ok)            # (ue, bs)
-    dl_access = np.argwhere(dl_ok.T)          # (bs, ue)
-    na, nd = ul_access.shape[0], dl_access.shape[0]
 
     # BS ends in variable order: one per access flow, (tail, head) per backhaul flow
     acc_bs = np.concatenate([ul_access[:, 1], dl_access[:, 0]])
     bh = np.concatenate([ul_backhaul, dl_backhaul])
     is_ul = np.repeat([1, 0, 1, 0], [na, nd, ul_backhaul.shape[0], dl_backhaul.shape[0]])
 
-    cap_bps = np.concatenate([links.cap_ub[ul_access[:, 0], ul_access[:, 1]],
-                              links.cap_bu[dl_access[:, 0], dl_access[:, 1]],
+    cap_bps = np.concatenate([links.cap_ub.ravel()[ub[ul_ok]],
+                              links.cap_bu.ravel()[bu[dl_ok][by_bs]],
                               links.cap_bb[bh[:, 0], bh[:, 1]]]).astype(float)
     if cap_bps.size == 0 or cap_bps.max() <= 0:
         raise InfeasibleProblemError("no usable link capacity")
@@ -333,25 +351,27 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
     # B-sized maps onto the kept resource and conservation rows
     res_of = n_u - 1 + np.cumsum(n_incident > 0)
     con_of = n_u + n_c - 1 + np.cumsum(con_used)
-    ue_row = (np.searchsorted(ue_ids, np.concatenate([ul_access[:, 0], dl_access[:, 1]]))
-              + np.repeat([0, ue_ids.size], [na, nd]))
-    # rows ascending per column, -1 past the last: a rate row comes first
+    ue_pos = np.cumsum(included) - 1                # UE id -> its index in ue_ids
+    ue_row = np.concatenate([ue_pos[ul_access[:, 0]], ue_pos[dl_access[:, 1]] + ue_ids.size])
+    # rows ascending per column, -1 past the last: a rate row comes first.
+    # Both tables are written in place, column by column: stacking 1-d
+    # arrays on axis 1 would copy them entry by entry.
     c_bh, r_bh = con_of[con_bh], res_of[bh]
-    lo = np.concatenate([ue_row, c_bh.min(axis=1), res_of[acc_bs], r_bh.min(axis=1),
-                         n_u + n_res + fiber_row])
-    hi = np.concatenate([con_of[con_acc], c_bh.max(axis=1), np.full(na + nd, -1),
-                         r_bh.max(axis=1), con_of[m_con]])
+    R_row, R_val = np.empty((n, 2), dtype=np.int32), np.ones((n, 2))
+    np.concatenate([ue_row, c_bh.min(axis=1), res_of[acc_bs], r_bh.min(axis=1),
+                    n_u + n_res + fiber_row], out=R_row[:, 0])
+    np.concatenate([con_of[con_acc], c_bh.max(axis=1), np.full(na + nd, -1),
+                    r_bh.max(axis=1), con_of[m_con]], out=R_row[:, 1])
     out = np.where(c_bh[:, 0] < c_bh[:, 1], 1.0, -1.0) * (1 - 2 * is_ul[na + nd:])
-    one = np.ones(na + nd)
-    R_row = np.stack([lo, hi], axis=1, dtype=np.int32)
-    R_val = np.stack([np.concatenate([one, out, np.ones(nf + nm)]),
-                      np.concatenate([one, -out, np.ones(nf), -np.ones(nm)])], axis=1)
+    R_val[na + nd:nf, 0], R_val[na + nd:nf, 1] = out, -out
+    R_val[2 * nf:, 1] = -1.0
 
     # --- G x <= h: f - c t <= 0, resource and fiber rows, -x <= 0 ---------
-    h = np.concatenate([np.zeros(nf), np.ones(n_res), np.full(n_fib, fiber_norm), np.zeros(n)])
     o = np.cumsum([0, nf, n_res, n_fib, n]).tolist()
     row_slices = {family: slice(start, stop) for family, start, stop
                   in zip(("flow_capacity", "resource", "fiber", "nonneg"), o[:-1], o[1:])}
+    h = np.zeros(o[-1])
+    h[row_slices["resource"]], h[row_slices["fiber"]] = 1.0, fiber_norm
 
     # --- interior point: a unit per variable on an anchor<->UE walk -------
     # The walks follow the reach trees: a node on a walk reaches its ends
@@ -362,15 +382,15 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
         per-edge unit counts over bh_edges, and per seed the walks that end
         there (tree accumulation, children before parents)."""
         pred, order = tree
-        up = bh_edges[:, 1 if reverse else 0]
-        count = np.bincount(starts, minlength=B)
-        on_edge = np.zeros(bh_edges.shape[0], dtype=int)
-        for v in order[::-1].tolist():
+        up = heads[not reverse]
+        count = np.bincount(starts, minlength=B).tolist()
+        on_edge = [0] * len(up)
+        for v in reversed(order):
             e = pred[v]
             if e >= 0:
                 on_edge[e] = count[v]
                 count[up[e]] += count[v]
-        return on_edge, np.where(pred < 0, count, 0)
+        return np.array(on_edge, dtype=int), np.where(np.array(pred) < 0, count, 0)
 
     def walks(anchor_tree, sink_tree, reverse, acc_bs, keep, fiber_bs):
         """One direction: a unit down `anchor_tree` to every access BS and
@@ -380,7 +400,8 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
         near, far = (bh_edges[keep][:, ::-1] if reverse else bh_edges[keep]).T
         down_e, down_end = route(anchor_tree, reverse, np.concatenate([acc_bs, near]))
         sink_e, sink_end = route(sink_tree, not reverse, np.concatenate([far, fiber_bs]))
-        sinks, first = np.unique(acc_bs, return_index=True)
+        # keyed on the smallest type that holds a BS, as in sorted_rows
+        sinks, first = np.unique(acc_bs.astype(np.min_scalar_type(B)), return_index=True)
         acc = np.ones(acc_bs.size)
         acc[first] += sink_end[sinks]     # a sink walk ends in its BS's first access flow
         return acc, (1.0 + down_e + sink_e)[keep], down_end

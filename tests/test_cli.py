@@ -297,6 +297,14 @@ def test_manual_list_without_list_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("anchor_list", [[True], 3])
+def test_manual_list_of_non_ids_is_config_error(tmp_path, capsys, anchor_list):
+    cfg = write_config(tmp_path, anchor_list=anchor_list)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: manual anchor list")
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
     def test_manual_list_policy_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, anchor_policy="manual-list", anchor_list=[0])

@@ -94,6 +94,14 @@ class TestSelectAnchors:
         with pytest.raises(ConfigError):
             select_anchors(topo, policy="manual-list", manual=[])
 
+    def test_manual_ids_must_be_integers(self):
+        topo = generate_grid(2, 2, 200.0, 0, seed=0)
+        for bad in ([True], [0, False], [1.0], ["1"], 3, None):
+            with pytest.raises(ConfigError):
+                select_anchors(topo, policy="manual-list", manual=bad)
+        anchors = select_anchors(topo, policy="manual-list", manual=np.array([3, 0]))
+        assert anchors.y.tolist() == [True, False, False, True]
+
     def test_full_deployment_is_all_ones(self):
         topo = generate_grid(2, 3, 200.0, 0, seed=0)
         anchors = select_anchors(topo, k=6, policy="seeded-random", seed=1)
@@ -112,6 +120,14 @@ class TestSelectAnchors:
         for bad in (0, 5, None):
             with pytest.raises(ConfigError):
                 select_anchors(topo, k=bad, policy="seeded-random", seed=0)
+
+    def test_k_must_be_an_integer(self):
+        topo = generate_grid(2, 2, 100.0, 0, seed=0)
+        for bad in (2.0, True, False, "2", np.float64(2)):
+            for policy in ("seeded-random", "greedy-coverage"):
+                with pytest.raises(ConfigError):
+                    select_anchors(topo, k=bad, policy=policy, seed=0)
+        assert select_anchors(topo, k=np.int64(2), policy="seeded-random").k == 2
 
     def test_greedy_coverage(self):
         topo = generate_grid(2, 3, 150.0, 40, seed=9)

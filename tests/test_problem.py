@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -45,6 +46,10 @@ GOLDEN = {
 }
 
 
+STRUCTURE_GRIDS = ([(2, 3, 30, seed, k) for seed in (1, 2, 3) for k in range(1, 7)]
+                   + [(3, 6, 60, 1, 7), (6, 12, 2400, 1, 18)])
+
+
 class TestAssemble:
     def test_single_ue_anchor_shape(self):
         prob, _c = analytic_single_instance()
@@ -68,6 +73,17 @@ class TestAssemble:
     def test_all_zero_anchor_vector_rejected(self):
         with pytest.raises(ConfigError):
             AnchorSet(np.zeros(3, dtype=bool))
+
+    def test_pattern_shape_must_match_link_table(self):
+        links = links_from_caps([[4e9, 4e9]], [[4e9], [4e9]], np.zeros((2, 2)))
+        anchors = AnchorSet(np.array([True, False]))
+        pattern = make_scenario(Variant.IAB_MESH_LB, links, anchors, seed=0)
+        for access, backhaul in ((pattern.access[:, :1], pattern.backhaul),
+                                 (pattern.access.T, pattern.backhaul),
+                                 (pattern.access, pattern.backhaul[:1])):
+            bad = dataclasses.replace(pattern, access=access, backhaul=backhaul)
+            with pytest.raises(InfeasibleProblemError, match="pattern shape"):
+                assemble(links, bad, anchors)
 
     def test_only_starved_ue_named_in_error(self):
         # UE attached to a relay that has no backhaul at all (access-only
@@ -109,6 +125,29 @@ class TestAssemble:
         text = path.read_text()
         for section in ("[variables]", "[inequalities]", "[equalities]", "[objective]"):
             assert section in text
+
+    @pytest.mark.parametrize("grid", STRUCTURE_GRIDS, ids=lambda g: "x".join(map(str, g)))
+    def test_link_lists_in_documented_order(self, grid):
+        # access lists sorted by (ue, bs) for UL and (bs, ue) for DL, each
+        # flow's rate row its UE's place among the served UEs, and each
+        # capacity the link table's for that pair
+        rows, cols, n_ues, seed, _k = grid
+        links = build_link_table(synthetic_gains(generate_grid(rows, cols, 200.0, n_ues, seed)))
+        B, U = links.n_bs, links.n_ue
+        for variant, prob in grid_problems(*grid):
+            ul, dl = prob.ul_access, prob.dl_access
+            assert np.all(np.diff(ul[:, 0] * B + ul[:, 1]) > 0), variant
+            assert np.all(np.diff(dl[:, 0] * U + dl[:, 1]) > 0), variant
+            place = {ue: k for k, ue in enumerate(prob.ue_ids.tolist())}
+            n = prob.n_included
+            expected_rows = [place[ue] for ue in ul[:, 0].tolist()] + \
+                [n + place[ue] for ue in dl[:, 1].tolist()]
+            na, nd = ul.shape[0], dl.shape[0]
+            assert prob.R_row[:na + nd, 0].tolist() == expected_rows, variant
+            cap_bps = prob.cap[:na + nd] * prob.scale_bps
+            table = np.concatenate([links.cap_ub[ul[:, 0], ul[:, 1]],
+                                    links.cap_bu[dl[:, 0], dl[:, 1]]])
+            np.testing.assert_allclose(cap_bps, table, rtol=1e-13, err_msg=variant)
 
     @pytest.mark.parametrize("grid", sorted({g for g, _v in GOLDEN}))
     def test_golden_dump_and_start_point(self, grid, tmp_path):
@@ -161,10 +200,6 @@ def reference_rows(prob):
 
     sizes = {name: len(rows) for name, rows in family.items()}
     return csr(g), sizes, csr([a[i] for i in kept]), np.array(kept), csr(rates)
-
-
-STRUCTURE_GRIDS = ([(2, 3, 30, seed, k) for seed in (1, 2, 3) for k in range(1, 7)]
-                   + [(3, 6, 60, 1, 7), (6, 12, 2400, 1, 18)])
 
 
 class TestAssembledMatrices:

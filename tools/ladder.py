@@ -25,6 +25,8 @@ Each set prints one JSON line:
                              `hop_counts` reports (`hops`, `peeled_bps`,
                              `residual_rel`), in solve order
     start_digest             every start point's bytes, in solve order
+    problem_digest           the bytes of every assembled problem's arrays
+                             (PROBLEM_ARRAYS), in solve order
     seconds                  wall time to build, solve and count hops
     dense_side_max           the largest dense block the solver factors
                              (its resource, fiber and conservation rows)
@@ -68,10 +70,15 @@ SETS = {
 }
 
 
+# the arrays of an assembled problem that problem_digest hashes, in this order
+PROBLEM_ARRAYS = ("anchors_y", "ul_access", "dl_access", "ul_backhaul", "dl_backhaul", "cap",
+                  "m_bs", "m_ul", "R_row", "R_val", "h", "eq_ul", "ue_ids", "start")
+
+
 def solves(instances):
-    """Yield (label, solution or None, certificate, hop report or None,
-    start point) per scenario solve; the certified IAB solves carry their
-    `hop_counts`."""
+    """Yield (label, problem, solution or None, certificate, hop report or
+    None, start point) per scenario solve; the certified IAB solves carry
+    their `hop_counts`."""
     for rows, cols, n_ues, seed, counts in instances:
         topo = ip.generate_grid(rows, cols, INTER_SITE_M, n_ues, seed)
         links = ip.build_link_table(ip.synthetic_gains(topo))
@@ -88,7 +95,7 @@ def solves(instances):
                     sol, cert = None, err.certificate
                 hops = (ip.hop_counts(prob, sol, anchors)
                         if sol is not None and v.value.startswith("iab") else None)
-                yield label, sol, cert, hops, start
+                yield label, prob, sol, cert, hops, start
 
 
 def summarize(name, instances, reference):
@@ -104,8 +111,12 @@ def summarize(name, instances, reference):
 
     start = time.perf_counter()
     solver.dpptrf = dpptrf
+    results, problem_digest = [], hashlib.sha256()
     try:
-        results = list(solves(instances))
+        for label, prob, *outcome in solves(instances):
+            for field in PROBLEM_ARRAYS:
+                problem_digest.update(getattr(prob, field).tobytes())
+            results.append((label, *outcome))
     finally:
         solver.dpptrf = original
     seconds = time.perf_counter() - start
@@ -135,6 +146,7 @@ def summarize(name, instances, reference):
             "trace_dip_max": dip, "gm_digest": digest[:16],
             "hop_digest": hop_digest.hexdigest()[:16],
             "start_digest": start_digest.hexdigest()[:16],
+            "problem_digest": problem_digest.hexdigest()[:16],
             "seconds": round(seconds, 2), "dense_side_max": side}
     if reference is not None:
         ref = reference.get(name, {})
