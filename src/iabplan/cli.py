@@ -64,6 +64,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             data = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object of keys")
         for key, value in data.items():
             if key not in _ALL_KEYS:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
@@ -89,6 +91,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     for key in ("grid_rows", "grid_cols", "n_ues", "anchor_k", "seed"):
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], numbers.Integral):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     for key in ("inter_site_m", "street_width_m"):
         value = cfg[key]
         if isinstance(value, bool) or not (isinstance(value, numbers.Real)

@@ -230,11 +230,16 @@ def select_anchors(topology: Topology, k=None, policy: str = "seeded-random", *,
             raise ConfigError("greedy-coverage needs a LinkTable")
         cap_dl = np.where(links.exists_bu, links.cap_bu, 0.0)  # (B, U)
         best = np.zeros(topology.n_ue)
+        count = (cap_dl > best).sum(axis=1)   # per BS, the UEs whose best it would raise
         y = np.zeros(n, dtype=bool)
         for _ in range(k):
-            gains = np.where(y, -1, (cap_dl > best).sum(axis=1))
-            pick = int(np.argmax(gains))  # argmax takes the lowest id on ties
+            pick = int(np.argmax(np.where(y, -1, count)))  # the lowest id on ties
             y[pick] = True
-            best = np.maximum(best, cap_dl[pick])
+            # only the UEs whose best the pick raises change any count: each
+            # leaves the counts of the BSs that no longer beat its new best
+            raised = np.flatnonzero(cap_dl[pick] > best)
+            cols, new = cap_dl[:, raised], cap_dl[pick, raised]
+            count -= ((cols > best[raised]) & (cols <= new)).sum(axis=1)
+            best[raised] = new
         return AnchorSet(y)
     raise ConfigError(f"unknown anchor policy {policy!r}")

@@ -45,6 +45,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .connectivity import ConnectivityPattern, out_edges, search
 from .errors import InfeasibleProblemError
@@ -120,11 +121,6 @@ class RateProblem:
                                    dat[lo:hi], -np.ones(j.size)]), j.size)
 
     @cached_property
-    def transposes(self) -> tuple:
-        """CSC views of U_mat', G' and A', built once for `check_kkt`."""
-        return self.U_mat.T, self.G.T, self.A.T
-
-    @cached_property
     def abs_A(self) -> sp.csr_matrix:
         """|A|, built once for `validate`."""
         return abs(self.A)
@@ -163,12 +159,12 @@ class RateProblem:
         }
 
     def rates_bps(self, x: np.ndarray):
-        r = (self.U_mat @ x) * self.scale_bps
+        r = matvec(self.U_mat, x) * self.scale_bps
         return r[:self.n_included], r[self.n_included:]
 
     def objective_log(self, x: np.ndarray) -> float:
         """Sum of log rates in normalized units (-inf if any rate is 0)."""
-        r = self.U_mat @ x
+        r = matvec(self.U_mat, x)
         if np.any(r <= 0):
             return -np.inf
         return float(np.log(r).sum())
@@ -223,6 +219,29 @@ def csr(indptr, indices, data, n_col: int) -> sp.csr_matrix:
     return sp.csr_matrix((data[lo:hi], indices[lo:hi].astype(np.intc, copy=False),
                           (indptr - lo).astype(np.intc, copy=False)),
                          shape=(indptr.size - 1, n_col))
+
+
+def matvec(M: sp.csr_matrix, x) -> np.ndarray:
+    """M x for a CSR matrix M: SciPy's compiled loop that `M @ x` runs, called
+    without `@`'s Python dispatch, so it sums the same products in the same
+    order.  The loop reads x unchecked, so a wrong length is a ValueError."""
+    n_row, n_col = M.shape
+    if np.shape(x) != (n_col,):
+        raise ValueError(f"x has shape {np.shape(x)}, expected ({n_col},)")
+    out = np.zeros(n_row)
+    csr_matvec(n_row, n_col, M.indptr, M.indices, M.data, x, out)
+    return out
+
+
+def rmatvec(M: sp.csr_matrix, x) -> np.ndarray:
+    """M'x for a CSR matrix M, whose CSR arrays are the CSC arrays of M': the
+    compiled loop that `M.T @ x` runs, checked as `matvec` is."""
+    n_row, n_col = M.shape
+    if np.shape(x) != (n_row,):
+        raise ValueError(f"x has shape {np.shape(x)}, expected ({n_row},)")
+    out = np.zeros(n_col)
+    csc_matvec(n_col, n_row, M.indptr, M.indices, M.data, x, out)
+    return out
 
 
 def sorted_rows(rows, n_rows: int, indices, data):
@@ -292,6 +311,7 @@ def assemble(links: LinkTable, pattern: ConnectivityPattern,
                 for u in np.flatnonzero(~included)}
     if not included.any():
         raise InfeasibleProblemError(
+            "no servable UEs: the network has no UEs" if U == 0 else
             f"no servable UEs: {np.count_nonzero(had_any)} of {U} starved "
             "(attached to sites with no route to fiber)")
     ul_ok &= included[ue]
@@ -458,12 +478,12 @@ def validate(problem: RateProblem, candidate, tol: float = 1e-8) -> ValidationRe
     if x.shape != (problem.n_var,):
         raise ValueError(f"candidate has shape {x.shape}, expected ({problem.n_var},)")
 
-    excess = (problem.G @ x - problem.h) / np.maximum(1.0, np.abs(problem.h))
+    excess = (matvec(problem.G, x) - problem.h) / np.maximum(1.0, np.abs(problem.h))
     viol = {family: float(excess[slc].max(initial=0.0))
             for family, slc in problem.row_slices.items()}
 
     A = problem.A
-    resid = np.abs(A @ x) / np.maximum(1.0, problem.abs_A @ np.abs(x))
+    resid = np.abs(matvec(A, x)) / np.maximum(1.0, matvec(problem.abs_A, np.abs(x)))
     viol["conservation_dl"] = float(resid[~problem.eq_ul].max(initial=0.0))
     viol["conservation_ul"] = float(resid[problem.eq_ul].max(initial=0.0))
 

@@ -28,8 +28,10 @@ geometric mean.  See docs/solver_notes.md for the full derivation.
 All computations run in capacity-normalized units (see problem.py); rates
 are converted to bps only at the reporting boundary.  The solve is
 deterministic: no randomized steps, and the one dense factor per Newton
-step is LAPACK's unthreaded packed Cholesky, so iterates repeat bit for bit
-under one BLAS build.
+step is LAPACK's packed Cholesky, whose bits do not depend on the BLAS
+thread count (OpenBLAS threads it from a block side of about 100, which
+changes only its speed), so iterates repeat bit for bit under one BLAS
+build.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from scipy.linalg.lapack import dpptrf, dpptrs
 
 from .errors import ConfigError, ConvergenceError, InfeasibleProblemError
-from .problem import RateProblem, csr, sorted_rows, validate
+from .problem import RateProblem, csr, matvec, rmatvec, sorted_rows, validate
 
 _TAU0 = 1.0
 _BARRIER_INCREASE = 100.0  # tau multiplier per centering (docs: Barrier schedule)
@@ -160,8 +162,9 @@ class _NewtonSystem:
        each t_k meets at most one (through f_k), so they are eliminated;
     2. what is left spans the resource, fiber and conservation rows, at
        most 3 per BS whatever the UE count, and is factored by dense
-       Cholesky in packed lower storage (LAPACK dpptrf, which OpenBLAS
-       does not thread, so it rounds alike at any thread count).
+       Cholesky in packed lower storage (LAPACK dpptrf; OpenBLAS threads
+       it from a side of about 100, so its speed depends on the thread
+       count there, but its bits do not).
 
     D >= 0 is zero only on the conservation rows, and a z on those alone
     has R'z != 0 because A has full row rank (problem.py), so W and stage
@@ -185,7 +188,6 @@ class _NewtonSystem:
         self.sl_c = slice(rs["resource"].start, rs["fiber"].stop)
         self.n_b = n_b = n_c + n_eq                 # resource, fiber and conservation rows
         self.M_y, self.R_y = _slack_operators(problem)
-        self.M_yt, self.R_yt = self.M_y.T, self.R_y.T     # CSC views
 
         # per-solve buffers, rewritten each step: the weights (alpha, beta,
         # K^-1's diagonal P over y, D's diagonal), K's diagonal, and K's
@@ -286,7 +288,7 @@ class _NewtonSystem:
         factor, info = dpptrf(n_b, block, lower=1, overwrite_ap=1)
         if info > 0:                     # not positive definite: no step
             return None
-        R_y, R_yt = self.R_y, self.R_yt
+        R_y = self.R_y
 
         def eliminated(g, dy=None, dz=None):
             """Solve the full system for g = (g_y, dz - R_y dy): reduce to the
@@ -294,12 +296,12 @@ class _NewtonSystem:
             back-substitute.  Returns dy, z and R_y'z."""
             u = p_d * g
             u += p_o * g[swap]
-            rows = R_y @ u if dy is None else R_y @ (u + dy) - dz
+            rows = matvec(R_y, u) if dy is None else matvec(R_y, u + dy) - dz
             c_u = rows[:n_u] * du
             z_b = dpptrs(n_b, factor, rows[n_u:] - np.bincount(xb, x * c_u[xu], minlength=n_b),
                          lower=1)[0]
             z = np.concatenate([c_u - du * np.bincount(xu, x * z_b[xb], minlength=n_u), z_b])
-            q = R_yt @ z
+            q = rmatvec(R_y, z)
             e = g - q
             step = p_d * e
             step += p_o * e[swap]
@@ -407,7 +409,7 @@ def _center(v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
     term quadratic in dy.  On failure lam is the carried multiplier of the
     last iterate.
     """
-    M_y, M_yt, m = newton.M_y, newton.M_yt, lam.size
+    M_y, m = newton.M_y, lam.size
     tol = _NEWTON_TOL if last else _PATH_TOL
     w = np.zeros(newton.n_eq)      # returned as is if the first factor is singular
     tau_v = np.concatenate([np.full(m, tau), np.ones(v.size - m)])
@@ -420,13 +422,13 @@ def _center(v: np.ndarray, lam: np.ndarray, tau: float, last: bool,
     for it in range(max_iters):
         inv_v = 1.0 / v
         y = inv_v / tau_v               # (1/(tau s), 1/r)
-        g = M_yt @ y                    # -grad psi in slack coordinates
+        g = rmatvec(M_y, y)             # -grad psi in slack coordinates
         wt = lam * inv_v[:m]
         step = newton.solve(wt, v[m:], g, full=last)
         if step is None:
             return v, lam, w, it, "singular Newton matrix"
         dy, w = step
-        dv = M_y @ dy
+        dv = matvec(M_y, dy)
         ds = dv[:m]
         d_lam = y[:m] - lam - wt * ds
         q = dv * inv_v
@@ -479,7 +481,7 @@ def solve(problem: RateProblem, cfg: SolverConfig | None = None):
 
     newton = _NewtonSystem(problem)
     x0 = strictly_feasible_point(problem)
-    v = np.concatenate([problem.h - problem.G @ x0, problem.U_mat @ x0])    # (s, r)
+    v = np.concatenate([problem.h - matvec(problem.G, x0), matvec(problem.U_mat, x0)])  # (s, r)
     if np.any(v <= 0):
         raise InfeasibleProblemError("starting point is not strictly feasible")
     # the last tau, 5% past the gap bound, keeps the final gap below the tolerance
@@ -536,14 +538,13 @@ def check_kkt(problem: RateProblem, solution: Solution,
     primal_eq = max(report.violations["conservation_dl"],
                     report.violations["conservation_ul"])
 
-    U_t, G_t, A_t = problem.transposes
-    r = problem.U_mat @ x
-    grad0 = -(U_t @ (1.0 / r))
-    resid = grad0 + G_t @ lam + A_t @ nu
+    r = matvec(problem.U_mat, x)
+    grad0 = -rmatvec(problem.U_mat, 1.0 / r)
+    resid = grad0 + rmatvec(problem.G, lam) + rmatvec(problem.A, nu)
     scale = max(1.0, float(np.abs(grad0).max()))
     stationarity = float(np.abs(resid).max()) / scale
 
-    s = problem.h - problem.G @ x
+    s = problem.h - matvec(problem.G, x)
     comp_gap_rel = float(np.multiply(lam, s).sum()) / (2 * problem.n_included)
     dual_min = float(lam.min()) if lam.size else 0.0
 

@@ -193,6 +193,26 @@ def test_malformed_config_json(tmp_path):
     assert main(["run", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("top", [[{"seed": 1}], "config", 3, None])
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, top):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(top))
+    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: the config must be a JSON object of keys\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("route", ["file", "flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, route):
+    cfg = write_config(tmp_path, **({"seed": -1} if route == "file" else {}))
+    flag = ["--seed", "-1"] if route == "flag" else []
+    assert main(["run", "--config", str(cfg), *flag]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_overrides_take_effect(tmp_path):
     cfg = write_config(tmp_path, scenarios=["access_ss"])
     out2 = tmp_path / "other"
@@ -256,6 +276,12 @@ def test_no_servable_ue_is_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path, n_ues=0)
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("infeasible: no servable UEs")
+
+
+def test_no_ues_at_all_is_named_as_the_reason(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_ues=0)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "infeasible: no servable UEs: the network has no UEs\n"
 
 
 def test_iteration_cap_is_exit_three(tmp_path, capsys):

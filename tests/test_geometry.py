@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,6 +140,25 @@ class TestSelectAnchors:
         # greedy picks are prefixes: k=2 set is inside the k=3 set
         smaller = select_anchors(topo, k=2, policy="greedy-coverage", links=links)
         assert not (smaller.y & ~anchors.y).any()
+
+    def test_greedy_coverage_matches_full_recount(self):
+        # select_anchors keeps per-BS counts and updates them after each
+        # pick; recounting every UE at every pick must give the same picks,
+        # ties to the lowest id included (few capacity levels make many)
+        rng = np.random.default_rng(0)
+        for trial in range(40):
+            topo = generate_grid(int(rng.integers(1, 4)), int(rng.integers(1, 4)), 100.0,
+                                 int(rng.integers(0, 30)), seed=trial)
+            shape = (topo.n_bs, topo.n_ue)
+            links = SimpleNamespace(exists_bu=rng.random(shape) < 0.8,
+                                    cap_bu=rng.integers(0, 4, size=shape).astype(float))
+            cap_dl = np.where(links.exists_bu, links.cap_bu, 0.0)
+            best, y = np.zeros(topo.n_ue), np.zeros(topo.n_bs, dtype=bool)
+            for k in range(1, topo.n_bs + 1):
+                y[np.argmax(np.where(y, -1, (cap_dl > best).sum(axis=1)))] = True
+                best = np.maximum(best, cap_dl[y].max(axis=0))
+                got = select_anchors(topo, k, "greedy-coverage", links=links)
+                assert np.array_equal(got.y, y), (trial, k)
 
     def test_greedy_needs_links(self):
         topo = generate_grid(2, 2, 100.0, 5, seed=0)

@@ -10,6 +10,7 @@ from iabplan import (AnchorSet, ConfigError, InfeasibleProblemError, Variant,
                      assemble, build_link_table, generate_grid, make_scenario,
                      select_anchors, solve, strictly_feasible_point,
                      synthetic_gains, validate)
+from iabplan.problem import matvec, rmatvec
 from iabplan.solver import _NewtonSystem
 from iabplan.testkit import (analytic_single_instance, links_from_caps,
                              random_tiny_instance)
@@ -262,6 +263,43 @@ class TestAssembledMatrices:
                 for field in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, field), getattr(ref, field)), \
                         (variant, name, field)
+
+
+class TestProducts:
+    # matvec and rmatvec call SciPy's private compiled loops, which `@` runs
+    # for CSR matrices and their CSC transposes; a SciPy release that changes
+    # those loops must fail here, not in a solve
+
+    @staticmethod
+    def assert_products_equal(M, rng):
+        x, z = rng.standard_normal(M.shape[1]), rng.standard_normal(M.shape[0])
+        assert np.array_equal(matvec(M, x), M @ x)
+        assert np.array_equal(rmatvec(M, z), M.T @ z)
+
+    @pytest.mark.parametrize("grid", STRUCTURE_GRIDS[:1] + STRUCTURE_GRIDS[-2:-1],
+                             ids=lambda g: "x".join(map(str, g)))
+    def test_products_are_scipys(self, grid):
+        rng = np.random.default_rng(0)
+        for _variant, prob in grid_problems(*grid):
+            newton = _NewtonSystem(prob)
+            for M in (newton.M_y, newton.R_y, prob.U_mat, prob.G, prob.A):
+                self.assert_products_equal(M, rng)
+
+    def test_empty_rows_and_columns(self):
+        M = sp.csr_matrix(np.array([[0.0, 0.0, 0.0], [1.5, 0.0, -2.0],
+                                    [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
+        self.assert_products_equal(M, np.random.default_rng(1))
+        assert np.array_equal(matvec(M, np.ones(3)), [0.0, -0.5, 0.0, 3.0])
+        assert np.array_equal(rmatvec(M, np.ones(4)), [1.5, 3.0, -2.0])
+
+    def test_wrong_length_is_value_error(self):
+        M = sp.csr_matrix(np.ones((4, 3)))
+        for x in (np.ones(2), np.ones(4), np.ones((3, 1)), np.ones(0)):
+            with pytest.raises(ValueError, match="expected \\(3,\\)"):
+                matvec(M, x)
+        for z in (np.ones(3), np.ones(5), np.ones((1, 4))):
+            with pytest.raises(ValueError, match="expected \\(4,\\)"):
+                rmatvec(M, z)
 
 
 class TestConservationRank:

@@ -142,6 +142,17 @@ class TestCheckKkt:
         assert not report.ok
         assert report.primal_ineq > 1e-9
 
+    def test_wrong_length_multipliers_are_value_errors(self):
+        # the products read lam and nu unchecked in compiled code, so a
+        # caller-built Solution with short multipliers must be refused
+        prob, _ = analytic_single_instance()
+        sol, _ = solve(prob)
+        replace = dataclasses.replace
+        for bad in (replace(sol, lam=sol.lam[:-1]), replace(sol, nu=sol.nu[:-1]),
+                    replace(sol, nu=np.append(sol.nu, 0.0)), replace(sol, x=sol.x[:-1])):
+            with pytest.raises(ValueError):
+                check_kkt(prob, bad)
+
 
 def assert_failure_certificate(err, prob):
     """A failed solve carries its certificate, with the gap per log-rate

@@ -38,9 +38,12 @@ file's line for its set, a JSON object of lines by set name: any key that
 differs but `seconds` and `--against`'s two makes the run exit 1, naming
 the set and the key.  `tools/ladder_expected.json` holds the lines of the
 current solver; a change that moves them on purpose rewrites it from the
-new printed lines and says why.  The solver uses no threaded BLAS kernel,
-so every line but `seconds` is the same at any BLAS thread count under one
-BLAS build.  The ladder is tooling, not a test.
+new printed lines and says why.  The solver's one kernel that OpenBLAS
+threads, the packed factor `dpptrf`, is threaded from a block side of
+about 100 and rounds alike at any thread count, so every line but
+`seconds` is the same at any BLAS thread count under one BLAS build;
+`seconds` of the mid and city sets depends on it.  The ladder is tooling,
+not a test.
 """
 
 from __future__ import annotations
