@@ -247,7 +247,8 @@ def _verify_rows(cfg: dict):
                f"gm={sol.gm_bps:.4g} lo={bracket.gm_lo_bps:.4g} hi={bracket.gm_hi_bps:.4g}")
 
     topo = generate_grid(2, 3, 200.0, 30, seed=5)
-    links = build_link_table(synthetic_gains(topo, _budget_from(cfg)), _budget_from(cfg))
+    budget = _budget_from(cfg)
+    links = build_link_table(synthetic_gains(topo, budget), budget)
     anchors = select_anchors(topo, 2, "greedy-coverage", links=links, seed=5)
     runs = {}
     for variant in Variant:

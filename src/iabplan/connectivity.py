@@ -35,7 +35,11 @@ class ConnectivityPattern:
     variant: Variant
     access: np.ndarray        # (U, B) bool, applies to both UL and DL
     backhaul: np.ndarray      # (B, B) bool, zero diagonal
-    ue_unserved: np.ndarray   # (U,) bool: no eligible access link at all
+
+    @property
+    def ue_unserved(self) -> np.ndarray:
+        """(U,) bool: UEs with no available access link."""
+        return ~self.access.any(axis=1)
 
     def is_subpattern_of(self, other: "ConnectivityPattern") -> bool:
         """True if every access and backhaul edge here is also in `other`."""
@@ -215,22 +219,21 @@ def make_scenario(variant: Variant | str, links: LinkTable, anchors: AnchorSet,
     zero_b = np.zeros((links.n_bs, links.n_bs), dtype=bool)
 
     if variant is Variant.ACCESS_SS:
-        access, unserved = access_signal_strength(links, seed, serving=anchors.y)
+        access, _ = access_signal_strength(links, seed, serving=anchors.y)
         backhaul = zero_b
     elif variant is Variant.ACCESS_LB:
-        access, unserved = access_load_balanced(links, serving=anchors.y)
+        access, _ = access_load_balanced(links, serving=anchors.y)
         backhaul = zero_b
     elif variant is Variant.IAB_ST:
-        access, unserved = access_signal_strength(links, seed)
+        access, _ = access_signal_strength(links, seed)
         backhaul = backhaul_spanning_tree(links.gain_bb, anchors, links.exists_bb)
     elif variant is Variant.IAB_MESH_SS:
-        access, unserved = access_signal_strength(links, seed)
+        access, _ = access_signal_strength(links, seed)
         backhaul = backhaul_mesh(links)
     elif variant is Variant.IAB_MESH_LB:
-        access, unserved = access_load_balanced(links)
+        access, _ = access_load_balanced(links)
         backhaul = backhaul_mesh(links)
     else:  # pragma: no cover
         raise ConnectivityError(f"unhandled variant {variant}")
 
-    return ConnectivityPattern(variant=variant, access=access,
-                               backhaul=backhaul, ue_unserved=unserved)
+    return ConnectivityPattern(variant=variant, access=access, backhaul=backhaul)

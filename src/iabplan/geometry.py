@@ -140,6 +140,13 @@ def generate_grid(rows: int, cols: int, inter_site_m: float, n_ues: int,
     (row-major ids), so the mean nearest-neighbor site distance equals
     `inter_site_m` exactly whenever the grid has more than one site.
     """
+    for name, value in (("rows", rows), ("cols", cols), ("n_ues", n_ues), ("seed", seed)):
+        if not _is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not (np.isfinite(inter_site_m) and np.isfinite(street_width_m)):
+        raise ConfigError("inter-site distance and street width must be finite")
     if rows < 1 or cols < 1:
         raise ConfigError("grid must have at least one row and one column")
     if inter_site_m <= 0:

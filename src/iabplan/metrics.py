@@ -26,7 +26,6 @@ class RateReport:
     r_dl_bps: np.ndarray
     gm_bps: float
     n_excluded: int
-    n_total: int
 
     def to_csv(self, path, header_meta: dict | None = None) -> None:
         meta = {**(header_meta or {}), "scenario": self.scenario,
@@ -54,7 +53,6 @@ def make_report(solution: Solution, problem: RateProblem, scenario: str,
         ue_ids=solution.ue_ids.copy(),
         r_ul_bps=solution.r_ul_bps.copy(), r_dl_bps=solution.r_dl_bps.copy(),
         gm_bps=solution.gm_bps, n_excluded=len(problem.excluded),
-        n_total=problem.n_ue,
     )
 
 
@@ -104,7 +102,6 @@ class HopReport:
     hops: np.ndarray          # (n_bs,)
     peeled_bps: np.ndarray    # (n_bs,) total path rate ending at each BS
     residual_rel: float
-    anchor_mask: np.ndarray
 
     @property
     def mass_at_zero(self) -> float:
@@ -211,7 +208,7 @@ def hop_counts(problem: RateProblem, solution: Solution, anchors: AnchorSet,
             f"({worst / scale:.3e} relative, tolerance {residual_tol:.1e}); "
             "the input violates flow conservation")
     return HopReport(hops=hops, peeled_bps=peeled * solution.scale_bps,
-                     residual_rel=residual_rel, anchor_mask=anchors.y.copy())
+                     residual_rel=residual_rel)
 
 
 @dataclass
@@ -240,7 +237,7 @@ def fiber_sweep(topology: Topology, links: LinkTable, variants, k_values,
                 variant = Variant(variant)
                 pattern = make_scenario(variant, links, anchors, seed=seed)
                 prob = assemble(links, pattern, anchors)
-                solution, _cert = solve(prob, solver_cfg)
+                solution, _ = solve(prob, solver_cfg)
                 rows.append(SweepRow(k=int(k), variant=variant.value,
                                      seed=int(seed), gm_bps=solution.gm_bps,
                                      n_excluded=len(prob.excluded)))

@@ -43,9 +43,6 @@ _MAX_POINTS = 600_000
 class OracleBracket:
     gm_lo_bps: float
     gm_hi_bps: float
-    best_t: np.ndarray        # full-length time vector (pinned vars zero)
-    final_spacing: float
-    n_evaluated: int
 
     def contains(self, gm_bps: float, rel_slack: float = 1e-9) -> bool:
         return (self.gm_lo_bps * (1 - rel_slack) <= gm_bps
@@ -164,12 +161,10 @@ def brute_force_oracle(problem: RateProblem, grid_resolution: int = 1000) -> Ora
     spacing = 1.0 / q0
 
     axes = [np.linspace(0.0, 1.0, q0 + 1)] * dims
-    n_eval = 0
     best_obj = -np.inf
     best_t = None
     while True:
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dims)
-        n_eval += pts.shape[0]
         obj = evaluate(pts)
         k = int(np.argmax(obj))
         if obj[k] > best_obj or best_t is None:
@@ -184,15 +179,10 @@ def brute_force_oracle(problem: RateProblem, grid_resolution: int = 1000) -> Ora
     if not np.isfinite(best_obj):
         # degenerate lattice (e.g. resolution 1): every feasible point has a
         # zero rate, which is still a valid lower bound of 0
-        t_full = np.zeros(nt)
-        return OracleBracket(gm_lo_bps=0.0, gm_hi_bps=np.inf, best_t=t_full,
-                             final_spacing=spacing, n_evaluated=n_eval)
+        return OracleBracket(gm_lo_bps=0.0, gm_hi_bps=np.inf)
 
     gm = float(np.exp(best_obj / (2 * n_inc)) * problem.scale_bps)
     t_pos = best_t[best_t > 0]
     t_min = float(t_pos.min()) if t_pos.size else spacing
     slack = dims * spacing / max(t_min, spacing)
-    t_full = np.zeros(nt)
-    t_full[used] = best_t
-    return OracleBracket(gm_lo_bps=gm, gm_hi_bps=gm * (1.0 + slack),
-                         best_t=t_full, final_spacing=spacing, n_evaluated=n_eval)
+    return OracleBracket(gm_lo_bps=gm, gm_hi_bps=gm * (1.0 + slack))

@@ -231,8 +231,7 @@ class _NewtonSystem:
         self._x = (rp[coupled], rq[coupled] - n_u)
         xu, xb = self._x
         # pairs of couplings of one rate row, which its elimination joins
-        pp, pq, _ = _pairs(np.concatenate([[0], np.cumsum(np.bincount(xu, minlength=n_u))]),
-                           np.arange(n_u), np.arange(n_u))
+        pp, pq = _pairs(np.concatenate([[0], np.cumsum(np.bincount(xu, minlength=n_u))]))
         low = xb[pp] >= xb[pq]
         self._pair = (pp[low], pq[low], xu[pp[low]])
         # entry (i, j), i >= j, of the block sits at i + j (2 n_b - j - 1) / 2
@@ -349,15 +348,14 @@ def _slack_operators(problem: RateProblem):
     return csr(ptr[:r0 + n_u + 1], ind, dat, n), csr(ptr[r0:], ind, dat, n)
 
 
-def _pairs(ptr, a, b):
-    """Every pair (p, q) of an entry p of column a[i] and an entry q of
-    column b[i] of a compressed matrix with index pointer ptr, and its i."""
+def _pairs(ptr):
+    """Every pair (p, q) of two entries of one column of a compressed
+    matrix with index pointer ptr, column by column."""
     count = np.diff(ptr)
-    nb = count[b]
-    size = count[a] * nb
-    i = np.repeat(np.arange(a.size), size)
-    p, q = np.divmod(np.arange(i.size) - (np.cumsum(size) - size)[i], nb[i])
-    return ptr[a[i]] + p, ptr[b[i]] + q, i
+    size = count * count
+    i = np.repeat(np.arange(count.size), size)
+    p, q = np.divmod(np.arange(i.size) - (np.cumsum(size) - size)[i], count[i])
+    return ptr[i] + p, ptr[i] + q
 
 
 def _steps_to_boundary(v: np.ndarray, dv: np.ndarray, lam: np.ndarray,

@@ -30,7 +30,7 @@ def test_rate_report_csv(tmp_path):
     report = RateReport(scenario="iab_st", anchor_count=2, ue_ids=np.array([0, 3]),
                         r_ul_bps=np.array([12.5e6, 1e6 / 3]),
                         r_dl_bps=np.array([2e9, 7.25e6]),
-                        gm_bps=123456789.0, n_excluded=1, n_total=3)
+                        gm_bps=123456789.0, n_excluded=1)
     path = tmp_path / "rates.csv"
     report.to_csv(path, header_meta={"seed": 7, "scenarios": '["iab_st"]'})
     assert path.read_bytes() == (

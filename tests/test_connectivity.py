@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from collections import deque
 from itertools import islice
 
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from iabplan import (AnchorSet, ConnectivityError, Variant, access_load_balanced,
                      access_signal_strength, backhaul_mesh, backhaul_spanning_tree,
-                     build_link_table, generate_grid, make_scenario, synthetic_gains)
+                     build_link_table, generate_grid, make_scenario, select_anchors,
+                     synthetic_gains)
 from iabplan.connectivity import bfs_tree, out_edges, search, usable_pairs
 from iabplan.testkit import links_from_caps
 
@@ -384,3 +387,31 @@ class TestMakeScenario:
         pattern = make_scenario(Variant.IAB_ST, links, anchors, seed=0)
         text = pattern.to_json(tmp_path / "pattern.json")
         assert '"variant": "iab_st"' in text
+
+
+class TestUnserved:
+    @pytest.fixture()
+    def grid(self):
+        topo = generate_grid(3, 6, 200.0, 60, seed=1)
+        links = build_link_table(synthetic_gains(topo))
+        return links, select_anchors(topo, 7, "greedy-coverage", links=links, seed=1)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_unserved_is_an_empty_access_row(self, grid, variant, tmp_path):
+        links, anchors = grid
+        pattern = make_scenario(variant, links, anchors, seed=1)
+        assert np.array_equal(pattern.ue_unserved, ~pattern.access.any(axis=1))
+        data = json.loads(pattern.to_json(tmp_path / "pattern.json"))
+        assert data["unserved_ues"] == np.flatnonzero(pattern.ue_unserved).tolist()
+        # the access-only variants leave UEs out of the anchors' reach here
+        assert pattern.ue_unserved.any() == variant.value.startswith("access")
+
+    def test_replaced_access_is_read(self, grid):
+        links, anchors = grid
+        pattern = make_scenario(Variant.IAB_MESH_LB, links, anchors, seed=1)
+        u = int(np.flatnonzero(~pattern.ue_unserved)[0])
+        access = pattern.access.copy()
+        access[u] = False
+        emptied = dataclasses.replace(pattern, access=access)
+        assert emptied.ue_unserved[u]
+        assert np.array_equal(emptied.ue_unserved ^ pattern.ue_unserved, np.eye(60, dtype=bool)[u])

@@ -53,6 +53,24 @@ def test_bad_grid_parameters():
         generate_grid(2, 2, 200.0, 10, seed=0, street_width_m=0.0)
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    ((2.5, 3, 200.0, 30, 1), {}),
+    ((True, 3, 200.0, 30, 1), {}),
+    ((2, 3.0, 200.0, 30, 1), {}),
+    ((2, 3, 200.0, 30.5, 1), {}),
+    ((2, 3, 200.0, False, 1), {}),
+    ((2, 3, 200.0, 30, 1.0), {}),
+    ((2, 3, 200.0, 30, -1), {}),
+    ((2, 3, float("inf"), 30, 1), {}),
+    ((2, 3, float("nan"), 30, 1), {}),
+    ((2, 3, 200.0, 30, 1), {"street_width_m": float("nan")}),
+    ((2, 3, 200.0, 30, 1), {"street_width_m": float("inf")}),
+])
+def test_grid_argument_types(args, kwargs):
+    with pytest.raises(ConfigError):
+        generate_grid(*args, **kwargs)
+
+
 def test_topology_json_roundtrip(tmp_path):
     topo = generate_grid(2, 3, 100.0, 25, seed=3)
     path = tmp_path / "topo.json"

@@ -22,7 +22,7 @@ def small_report(rates_mbps, scenario="access_ss", excluded=0):
     gm = float(np.exp(np.log(r).mean())) if r.size else 0.0
     return RateReport(scenario=scenario, anchor_count=1,
                       ue_ids=np.arange(r.size), r_ul_bps=r, r_dl_bps=r,
-                      gm_bps=gm, n_excluded=excluded, n_total=r.size + excluded)
+                      gm_bps=gm, n_excluded=excluded)
 
 
 class TestRateCdf:
@@ -247,8 +247,7 @@ class TestHopCounts:
     def test_cdf_points(self):
         hops = np.array([0.0, 0.0, 1.0, 2.0])
         from iabplan import HopReport
-        hr = HopReport(hops=hops, peeled_bps=np.zeros(4), residual_rel=0.0,
-                       anchor_mask=np.array([True, True, False, False]))
+        hr = HopReport(hops=hops, peeled_bps=np.zeros(4), residual_rel=0.0)
         vals, pct = hr.cdf()
         assert vals.tolist() == [0.0, 0.0, 1.0, 2.0]
         assert pct.tolist() == [0.25, 0.5, 0.75, 1.0]

@@ -74,7 +74,9 @@ def test_ladder_summary_line():
     assert line["set"] == "one"
     assert line["solves"] == line["certified"] == len(gms) == 5
     assert line["newton_steps"] > 0
-    assert 0 < line["dense_side_max"] <= 3 * 6 + 1     # 3 rows per BS and the fiber row
+    # the solver's dense block: the resource, fiber and conservation rows
+    assert line["dense_side_max"] == max(sum(prob.r_blocks[1:])
+                                         for _, prob, *_ in ladder.solves(instances))
     assert 0 < line["worst_stationarity"] <= 1e-6 and line["lam_min"] > 0
     assert len(line["gm_digest"]) == len(line["hop_digest"]) == len(line["problem_digest"]) == 16
     # the same GMs as reference: the bit-identity check of a refactor
